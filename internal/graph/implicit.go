@@ -337,17 +337,7 @@ func (k torusKernel) Step(v int32, r *rng.Source) int32 {
 
 // WalkUntilVacant walks v to the first vacant vertex (or the budget).
 func (k torusKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64) {
-	var steps int64
-	for occ[v] == epoch {
-		if !lazy || !r.Bool() {
-			v = k.Step(v, r)
-		}
-		steps++
-		if steps >= budget {
-			break
-		}
-	}
-	return v, steps
+	return walkUntilVacant(k, v, lazy, occ, epoch, budget, r)
 }
 
 // StepLane advances the listed lane slots one torus move each, rebuilding
@@ -426,17 +416,7 @@ func (k circulantKernel) Step(v int32, r *rng.Source) int32 {
 
 // WalkUntilVacant walks v to the first vacant vertex (or the budget).
 func (k circulantKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64) {
-	var steps int64
-	for occ[v] == epoch {
-		if !lazy || !r.Bool() {
-			v = k.Step(v, r)
-		}
-		steps++
-		if steps >= budget {
-			break
-		}
-	}
-	return v, steps
+	return walkUntilVacant(k, v, lazy, occ, epoch, budget, r)
 }
 
 // StepLane advances the listed lane slots one circulant move each;
@@ -516,17 +496,7 @@ func (k rregKernel) Step(v int32, r *rng.Source) int32 {
 
 // WalkUntilVacant walks v to the first vacant vertex (or the budget).
 func (k rregKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64) {
-	var steps int64
-	for occ[v] == epoch {
-		if !lazy || !r.Bool() {
-			v = k.Step(v, r)
-		}
-		steps++
-		if steps >= budget {
-			break
-		}
-	}
-	return v, steps
+	return walkUntilVacant(k, v, lazy, occ, epoch, budget, r)
 }
 
 // StepLane advances the listed lane slots one cycle-union move each.

@@ -30,9 +30,8 @@ type Kernel interface {
 	// and the number of steps performed. The walk also returns as soon as
 	// steps reaches budget, whatever the final vertex's occupancy — the
 	// caller treats that as a truncated run. Keeping the whole loop
-	// behind one interface call (instead of one call per step) lets each
-	// concrete kernel inline its arithmetic and the RNG into the hottest
-	// loop of the repository; the draws consumed are exactly those of the
+	// behind one interface call (instead of one call per step) costs one
+	// dispatch per particle; the draws consumed are exactly those of the
 	// equivalent Step loop.
 	WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64)
 	// StepLane advances every slot listed in idx by one walk move of the
@@ -56,6 +55,31 @@ type Kernel interface {
 // Kernel returns the step kernel selected for this graph at Build time.
 // Hot loops should hoist it out of the loop body.
 func (g *CSR) Kernel() Kernel { return g.kernel }
+
+// stepper is the one method walkUntilVacant needs from a kernel.
+type stepper interface {
+	Step(v int32, r *rng.Source) int32
+}
+
+// walkUntilVacant is every kernel's WalkUntilVacant: the settlement loop
+// written once and instantiated per kernel type. The point of the loop is
+// one interface dispatch per particle instead of one per step. The Step
+// call inside it is a real call whether the loop is generic or
+// hand-copied, because every kernel's Step is over the compiler's inline
+// budget (go build -gcflags=-m=2 ./internal/graph).
+func walkUntilVacant[K stepper](k K, v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64) {
+	var steps int64
+	for occ[v] == epoch {
+		if !lazy || !r.Bool() {
+			v = k.Step(v, r)
+		}
+		steps++
+		if steps >= budget {
+			break
+		}
+	}
+	return v, steps
+}
 
 // GenericKernel returns the fused CSR kernel for this graph regardless of
 // the kernel Build selected, as the reference implementation for
@@ -154,23 +178,8 @@ func (k csrKernel) Step(v int32, r *rng.Source) int32 {
 }
 
 // WalkUntilVacant walks v to the first vacant vertex (or the budget).
-//
-// Every kernel repeats this identical loop body rather than sharing one
-// generic helper: the k.Step call on the concrete receiver is a direct,
-// inlinable call, which is the whole point of hoisting the loop behind a
-// single interface dispatch.
 func (k csrKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64) {
-	var steps int64
-	for occ[v] == epoch {
-		if !lazy || !r.Bool() {
-			v = k.Step(v, r)
-		}
-		steps++
-		if steps >= budget {
-			break
-		}
-	}
-	return v, steps
+	return walkUntilVacant(k, v, lazy, occ, epoch, budget, r)
 }
 
 // StepLane advances the listed lane slots one gather-loop move each.
@@ -227,17 +236,7 @@ func (k regularKernel) Step(v int32, r *rng.Source) int32 {
 
 // WalkUntilVacant walks v to the first vacant vertex (or the budget).
 func (k regularKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64) {
-	var steps int64
-	for occ[v] == epoch {
-		if !lazy || !r.Bool() {
-			v = k.Step(v, r)
-		}
-		steps++
-		if steps >= budget {
-			break
-		}
-	}
-	return v, steps
+	return walkUntilVacant(k, v, lazy, occ, epoch, budget, r)
 }
 
 // StepLane advances the listed lane slots one dense-row move each.
@@ -284,17 +283,7 @@ func (k completeKernel) Step(v int32, r *rng.Source) int32 {
 
 // WalkUntilVacant walks v to the first vacant vertex (or the budget).
 func (k completeKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64) {
-	var steps int64
-	for occ[v] == epoch {
-		if !lazy || !r.Bool() {
-			v = k.Step(v, r)
-		}
-		steps++
-		if steps >= budget {
-			break
-		}
-	}
-	return v, steps
+	return walkUntilVacant(k, v, lazy, occ, epoch, budget, r)
 }
 
 // StepLane advances the listed lane slots one draw-and-compare move each.
@@ -350,17 +339,7 @@ func (k cycleKernel) Step(v int32, r *rng.Source) int32 {
 
 // WalkUntilVacant walks v to the first vacant vertex (or the budget).
 func (k cycleKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64) {
-	var steps int64
-	for occ[v] == epoch {
-		if !lazy || !r.Bool() {
-			v = k.Step(v, r)
-		}
-		steps++
-		if steps >= budget {
-			break
-		}
-	}
-	return v, steps
+	return walkUntilVacant(k, v, lazy, occ, epoch, budget, r)
 }
 
 // StepLane advances the listed lane slots one ±1 (mod n) move each. A
@@ -417,17 +396,7 @@ func (k pathKernel) Step(v int32, r *rng.Source) int32 {
 
 // WalkUntilVacant walks v to the first vacant vertex (or the budget).
 func (k pathKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64) {
-	var steps int64
-	for occ[v] == epoch {
-		if !lazy || !r.Bool() {
-			v = k.Step(v, r)
-		}
-		steps++
-		if steps >= budget {
-			break
-		}
-	}
-	return v, steps
+	return walkUntilVacant(k, v, lazy, occ, epoch, budget, r)
 }
 
 // StepLane advances the listed lane slots one path move each; endpoints
@@ -488,17 +457,7 @@ func (k hypercubeKernel) Step(v int32, r *rng.Source) int32 {
 
 // WalkUntilVacant walks v to the first vacant vertex (or the budget).
 func (k hypercubeKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64) {
-	var steps int64
-	for occ[v] == epoch {
-		if !lazy || !r.Bool() {
-			v = k.Step(v, r)
-		}
-		steps++
-		if steps >= budget {
-			break
-		}
-	}
-	return v, steps
+	return walkUntilVacant(k, v, lazy, occ, epoch, budget, r)
 }
 
 // StepLane advances the listed lane slots one bit-flip move each.

@@ -221,17 +221,7 @@ func (k weightedKernel) Step(v int32, r *rng.Source) int32 {
 // WalkUntilVacant walks v to the first vacant vertex (or the budget)
 // under the weighted walk law.
 func (k weightedKernel) WalkUntilVacant(v int32, lazy bool, occ []uint8, epoch uint8, budget int64, r *rng.Source) (int32, int64) {
-	var steps int64
-	for occ[v] == epoch {
-		if !lazy || !r.Bool() {
-			v = k.Step(v, r)
-		}
-		steps++
-		if steps >= budget {
-			break
-		}
-	}
-	return v, steps
+	return walkUntilVacant(k, v, lazy, occ, epoch, budget, r)
 }
 
 // StepLane advances the listed lane slots one weighted alias move each,

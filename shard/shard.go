@@ -71,10 +71,11 @@ type Coordinator struct {
 	// long jobs are expected to stay open indefinitely.
 	Client *http.Client
 	// Retries caps the consecutive attempts a shard makes without
-	// delivering a single new result before the run is abandoned;
-	// attempts that make progress reset the budget. 0 means 5. 429
-	// admission-control rejections do not consume this budget: the
-	// coordinator obeys the server's Retry-After hint on a separate,
+	// settling more of its trials than ever before (a new result in Run,
+	// a higher completed count in RunSummary) before the run is
+	// abandoned; attempts that make progress reset the budget. 0 means
+	// 5. 429 admission-control rejections do not consume this budget:
+	// the coordinator obeys the server's Retry-After hint on a separate,
 	// larger throttle budget.
 	Retries int
 	// JitterSeed seeds the backoff jitter deterministically; 0 (the
@@ -124,11 +125,56 @@ func (c *Coordinator) retries() int {
 	return 5
 }
 
-// shardStream carries one shard's in-order results to the merger. err is
-// set before ch is closed.
-type shardStream struct {
-	ch  chan dispersion.Trial
-	err error
+// plan validates req and splits its logical range into the shard
+// ranges. The validation mirrors the server's submit-time check, so a
+// malformed request fails before any shard is queued anywhere. The split
+// depends only on (FirstTrial, Trials, K), so it is the same on every
+// resume.
+func (c *Coordinator) plan(req server.JobRequest) ([]trialRange, error) {
+	if len(c.Servers) == 0 {
+		return nil, errors.New("shard: no servers configured")
+	}
+	probe := dispersion.Job{
+		Process:    req.Process,
+		Spec:       req.Spec,
+		Origin:     req.Origin,
+		Trials:     req.Trials,
+		FirstTrial: req.FirstTrial,
+	}
+	if err := probe.Validate(); err != nil {
+		return nil, err
+	}
+	k := c.Shards
+	if k <= 0 {
+		k = len(c.Servers)
+	}
+	return splitRange(req.FirstTrial, req.Trials, min(k, req.Trials)), nil
+}
+
+// fanOut runs drive(ctx, i) for shards 0..n-1, one goroutine each, and
+// merge on the calling goroutine. Once merge returns, the shards' context
+// is cancelled, and fanOut returns merge's error only after every shard
+// goroutine has exited: an abandoned shard's job cancellation has reached
+// its server before the caller sees the error.
+func fanOut(ctx context.Context, n int, drive func(ctx context.Context, i int), merge func() error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drive(ctx, i)
+		}()
+	}
+	err := merge()
+	cancel()
+	wg.Wait()
+	return err
+}
+
+// shardError names the shard an unrecoverable error came from.
+func shardError(i int, rg trialRange, err error) error {
+	return fmt.Errorf("shard: shard %d (trials [%d,%d)): %w", i, rg.first, rg.first+rg.trials, err)
 }
 
 // Run executes the logical job described by req — trials
@@ -143,125 +189,102 @@ type shardStream struct {
 // restartable: kill it at any point and call it again with the same
 // request. Run returns the first unrecoverable error — a context
 // cancellation, a callback or checkpoint error, or a shard that
-// exhausted its retry budget.
+// exhausted its retry budget — once every shard has stopped.
 func (c *Coordinator) Run(ctx context.Context, req server.JobRequest, each func(dispersion.Trial) error) error {
-	if len(c.Servers) == 0 {
-		return errors.New("shard: no servers configured")
-	}
-	// Mirror the server's submit-time validation locally so a malformed
-	// request fails before any shard is queued anywhere.
-	probe := dispersion.Job{
-		Process:    req.Process,
-		Spec:       req.Spec,
-		Origin:     req.Origin,
-		Trials:     req.Trials,
-		FirstTrial: req.FirstTrial,
-	}
-	if err := probe.Validate(); err != nil {
+	ranges, err := c.plan(req)
+	if err != nil {
 		return err
 	}
-
 	delivered := 0
-	var ckpt *checkpoint
+	var log *wal
 	if c.Checkpoint != "" {
-		var err error
-		ckpt, delivered, err = resumeCheckpoint(c.Checkpoint, req, each)
-		if err != nil {
+		if log, delivered, err = resumeResults(c.Checkpoint, req, each); err != nil {
 			return err
 		}
-	}
-	closeCkpt := func() error {
-		if ckpt == nil {
-			return nil
-		}
-		cp := ckpt
-		ckpt = nil
-		return cp.Close()
-	}
-	defer closeCkpt()
-	if delivered == req.Trials {
-		return closeCkpt()
+		defer log.Close()
 	}
 
-	k := c.Shards
-	if k <= 0 {
-		k = len(c.Servers)
-	}
-	if k > req.Trials {
-		k = req.Trials
-	}
-	// Split the full logical range so shard boundaries are stable across
-	// resumes, then clip away the prefix the checkpoint already holds.
+	// Clip away the prefix the checkpoint already holds.
 	resumeFrom := req.FirstTrial + delivered
-	var ranges []trialRange
-	for _, rg := range splitRange(req.FirstTrial, req.Trials, k) {
+	var streams []*streamMode
+	for _, rg := range ranges {
 		end := rg.first + rg.trials
 		if end <= resumeFrom {
 			continue
 		}
-		if rg.first < resumeFrom {
-			rg = trialRange{first: resumeFrom, trials: end - resumeFrom}
-		}
-		ranges = append(ranges, rg)
+		rg.first = max(rg.first, resumeFrom)
+		rg.trials = end - rg.first
+		streams = append(streams, &streamMode{c: c, rg: rg, ch: make(chan dispersion.Trial, 256)})
 	}
 
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	streams := make([]*shardStream, len(ranges))
-	for i := range ranges {
-		ss := &shardStream{ch: make(chan dispersion.Trial, 256)}
-		streams[i] = ss
-		go func(idx int, rg trialRange, ss *shardStream) {
-			defer close(ss.ch)
-			ss.err = c.runShard(runCtx, idx, rg, req, ss.ch)
-		}(i, ranges[i], ss)
-	}
-
-	// Merge: shards cover contiguous ranges in index order, so draining
-	// them one after another yields the global trial order. Later shards
-	// compute (and buffer server-side) while earlier ones drain.
-	next := resumeFrom
-	for i, ss := range streams {
-		for tr := range ss.ch {
-			if tr.Index != next {
-				return fmt.Errorf("shard: shard %d delivered trial %d, want %d", i, tr.Index, next)
-			}
-			if ckpt != nil {
-				if err := ckpt.Append(tr); err != nil {
-					return fmt.Errorf("shard: checkpoint: %w", err)
+	err = fanOut(ctx, len(streams), func(ctx context.Context, i int) {
+		s := streams[i]
+		defer close(s.ch)
+		s.err = c.runShard(ctx, i, s.rg, req, s)
+	}, func() error {
+		// Shards cover contiguous ranges in index order, so draining
+		// them one after another yields the global trial order. Later
+		// shards compute (and buffer server-side) while earlier ones
+		// drain.
+		next := resumeFrom
+		for i, s := range streams {
+			for tr := range s.ch {
+				if tr.Index != next {
+					return fmt.Errorf("shard: shard %d delivered trial %d, want %d", i, tr.Index, next)
 				}
-			}
-			if each != nil {
-				if err := each(tr); err != nil {
-					return err
+				if log != nil {
+					if err := log.Append(sink.Record{Trial: tr.Index, Result: tr.Result}); err != nil {
+						return fmt.Errorf("shard: checkpoint: %w", err)
+					}
 				}
+				if each != nil {
+					if err := each(tr); err != nil {
+						return err
+					}
+				}
+				next++
 			}
-			next++
+			if s.err != nil {
+				return shardError(i, s.rg, s.err)
+			}
 		}
-		if ss.err != nil {
-			rg := ranges[i]
-			return fmt.Errorf("shard: shard %d (trials [%d,%d)): %w", i, rg.first, rg.first+rg.trials, ss.err)
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	return closeCkpt()
+	return log.Close()
 }
 
 // errJobGone reports that a shard's job no longer exists on its server
 // (e.g. the server restarted), so reconnecting is pointless and the
-// remaining range must be resubmitted.
+// shard must be resubmitted.
 var errJobGone = errors.New("job no longer exists on its server")
 
-// runShard drives one shard to completion: submit its trial range as a
-// job, follow the job's result stream, and on any interruption resume
-// without recomputation — reconnect with ?from= while the job is alive,
-// resubmit the undelivered remainder (rotating servers) when it is not.
-// Results are pushed into ch in trial order.
-func (c *Coordinator) runShard(ctx context.Context, idx int, rg trialRange, req server.JobRequest, ch chan<- dispersion.Trial) (err error) {
+// shardMode is the payload seam of runShard. Run's streamMode and
+// RunSummary's summaryMode are its two implementations.
+type shardMode interface {
+	// submitRange returns the trials a new job for the shard must
+	// compute. It is asked before every (re)submission.
+	submitRange() trialRange
+	// follow follows the job at jobURL until the job ends or the
+	// connection breaks. progress is how many of the shard's trials are
+	// settled; complete reports that the shard's payload is whole,
+	// whatever state the job ended in. Otherwise a nil err means state is
+	// the job's terminal state, and a non-nil err is an interruption:
+	// errJobGone forces a resubmission, anything else a re-follow.
+	follow(ctx context.Context, jobURL string) (progress int, complete bool, state server.State, err error)
+}
+
+// runShard drives one shard to completion: submit a job, follow it
+// through m, and on any interruption recover — follow the job again
+// while it is alive, resubmit (rotating servers) when it is not. It is
+// the coordinator's only retry loop.
+func (c *Coordinator) runShard(ctx context.Context, idx int, rg trialRange, req server.JobRequest, m shardMode) (err error) {
 	var (
-		done      int    // trials of this shard already pushed into ch
 		jobURL    string // active job, "" when a (re)submit is needed
-		streamed  int    // result lines already consumed from the active job
-		fails     int    // consecutive attempts with no progress
+		best      int    // the shard's high-water mark of settled trials
+		fails     int    // consecutive attempts that did not raise best
 		throttles int    // consecutive 429-throttled submissions
 		lastErr   error
 	)
@@ -293,9 +316,10 @@ func (c *Coordinator) runShard(ctx context.Context, idx int, rg trialRange, req 
 			}
 		}
 		if jobURL == "" {
+			sub := m.submitRange()
 			shardReq := req
-			shardReq.FirstTrial = rg.first + done
-			shardReq.Trials = rg.trials - done
+			shardReq.FirstTrial = sub.first
+			shardReq.Trials = sub.trials
 			base := c.Servers[(idx+attempt)%len(c.Servers)]
 			st, err := c.submit(ctx, base, shardReq)
 			var te *throttleError
@@ -319,57 +343,85 @@ func (c *Coordinator) runShard(ctx context.Context, idx int, rg trialRange, req 
 			}
 			throttles = 0
 			jobURL = strings.TrimSuffix(base, "/") + "/v1/jobs/" + st.ID
-			streamed = 0
 		}
-		n, state, err := c.follow(ctx, jobURL, streamed, rg.first+done, ch)
-		streamed += n
-		done += n
-		if n > 0 {
-			fails = 0
-		}
-		if done == rg.trials {
-			// Every trial of the range is delivered and merged; whatever
-			// terminal label the job ends up with afterwards (e.g.
-			// "failed" because a server-side archive close failed) cannot
-			// change the results, and resubmitting a zero-trial
-			// remainder would be rejected anyway.
+		progress, complete, state, err := m.follow(ctx, jobURL)
+		if complete {
 			return nil
 		}
-		if err == nil && state == "" {
-			// A clean EOF without the trailer (e.g. a trailer-stripping
-			// proxy between coordinator and server): the status endpoint
-			// disambiguates a finished job from a cut connection.
-			if st, ok := c.jobStatus(ctx, jobURL); ok && st.State.Terminal() {
-				state = st.State
-			}
+		// Progress counts against the high-water mark, not per job: a job
+		// that dies at the same point as its predecessor has not moved
+		// the shard forward.
+		if progress > best {
+			best = progress
+			fails = 0
 		}
 		switch {
 		case err == nil && state == server.StateDone:
-			// done == rg.trials returned above, so this stream ended
-			// short of the submitted range: a server-side bug.
-			return fmt.Errorf("job reported done after %d of %d trials", done, rg.trials)
-		case err == nil && (state == server.StateFailed || state == server.StateCancelled):
-			// The job is terminally dead; resubmit the rest of the range
-			// on the next server. A deterministic failure will exhaust
-			// the retry budget and surface here.
+			// The job finished without completing the shard: a
+			// server-side bug.
+			return fmt.Errorf("job reported done after %d of %d trials", progress, rg.trials)
+		case err == nil:
+			// The job is terminally failed or cancelled; resubmit on the
+			// next server. A deterministic failure will exhaust the retry
+			// budget and surface here.
 			lastErr = fmt.Errorf("job ended %s%s", state, c.jobError(ctx, jobURL))
 			jobURL = ""
-			fails++
 		case errors.Is(err, errJobGone):
 			lastErr = err
 			jobURL = ""
-			fails++
 		default:
-			// Transport cut (connection drop, truncated line, or a clean
-			// EOF without the state trailer): the job itself may be fine,
-			// so reconnect to it with ?from= advanced.
-			if err == nil {
-				err = errors.New("stream ended without a job-state trailer")
-			}
+			// A transport cut or an early poll return: the job itself
+			// may be fine, so follow it again.
 			lastErr = err
-			fails++
+		}
+		fails++
+	}
+}
+
+// streamMode follows a shard's jobs as NDJSON result streams, pushing
+// each result into ch in trial order. A resubmission computes only the
+// undelivered remainder of the range.
+type streamMode struct {
+	c        *Coordinator
+	rg       trialRange
+	ch       chan dispersion.Trial
+	err      error // the shard's outcome, set before ch is closed
+	done     int   // trials of rg already pushed into ch
+	streamed int   // result lines already consumed from the active job
+}
+
+// submitRange returns the undelivered remainder of the range.
+func (m *streamMode) submitRange() trialRange {
+	m.streamed = 0 // a new job streams from its first line
+	return trialRange{first: m.rg.first + m.done, trials: m.rg.trials - m.done}
+}
+
+// follow reads the job's results from ?from= past the lines already
+// consumed.
+func (m *streamMode) follow(ctx context.Context, jobURL string) (int, bool, server.State, error) {
+	n, state, err := m.c.readResults(ctx, jobURL, m.streamed, m.rg.first+m.done, m.ch)
+	m.streamed += n
+	m.done += n
+	if m.done == m.rg.trials {
+		// Every trial of the range is delivered and merged; whatever
+		// terminal label the job ends up with afterwards (e.g. "failed"
+		// because a server-side archive close failed) cannot change the
+		// results, and resubmitting a zero-trial remainder would be
+		// rejected anyway.
+		return m.done, true, state, nil
+	}
+	if err == nil && state == "" {
+		// A clean EOF without the trailer (e.g. a trailer-stripping
+		// proxy between coordinator and server): the status endpoint
+		// disambiguates a finished job from a cut connection.
+		if st, ok := m.c.jobStatus(ctx, jobURL); ok && st.State.Terminal() {
+			state = st.State
 		}
 	}
+	if err == nil && !state.Terminal() {
+		err = errors.New("stream ended without a job-state trailer")
+	}
+	return m.done, false, state, err
 }
 
 // submit POSTs one shard's job request to the given server and returns
@@ -409,12 +461,12 @@ func (c *Coordinator) submit(ctx context.Context, base string, req server.JobReq
 	return st, nil
 }
 
-// follow streams the active job's results from line offset from, pushing
+// readResults streams the active job's results from line offset from, pushing
 // each record into ch and checking that indices continue at wantNext. It
 // returns the number of records pushed and, when the stream ended at a
 // terminal job state, that state from the X-Job-State trailer; a
 // transport-level interruption returns the error instead.
-func (c *Coordinator) follow(ctx context.Context, jobURL string, from, wantNext int, ch chan<- dispersion.Trial) (int, server.State, error) {
+func (c *Coordinator) readResults(ctx context.Context, jobURL string, from, wantNext int, ch chan<- dispersion.Trial) (int, server.State, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet,
 		fmt.Sprintf("%s/results?from=%d", jobURL, from), nil)
 	if err != nil {

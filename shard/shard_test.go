@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -431,5 +432,48 @@ func TestValidationAndCancellation(t *testing.T) {
 	err := c.Run(ctx, server.JobRequest{Process: "parallel", Spec: "complete:8", Trials: 4}, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// countDeletes counts the DELETE requests a server receives before
+// handing every request to the wrapped handler.
+type countDeletes struct {
+	inner http.Handler
+	n     atomic.Int32
+}
+
+func (h *countDeletes) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodDelete {
+		h.n.Add(1)
+	}
+	h.inner.ServeHTTP(w, r)
+}
+
+// Run returns only after every shard goroutine has exited, so the
+// best-effort cancellations of abandoned shard jobs have reached their
+// servers by the time a callback error surfaces to the caller.
+func TestRunWaitsForShardCancellation(t *testing.T) {
+	m, err := server.NewManager(server.ManagerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &countDeletes{inner: server.New(m)}
+	ts := httptest.NewServer(h)
+	t.Cleanup(func() {
+		ts.Close()
+		m.Close()
+	})
+	// Each shard's range is larger than its merge buffer, so no shard can
+	// finish while the merge is stopped: all four are abandoned.
+	const shards = 4
+	req := server.JobRequest{Process: "parallel", Spec: "complete:16", Trials: shards * 1000, Seed: 6}
+	c := &shard.Coordinator{Servers: []string{ts.URL}, Shards: shards}
+	stop := errors.New("stop")
+	err = c.Run(context.Background(), req, func(dispersion.Trial) error { return stop })
+	if !errors.Is(err, stop) {
+		t.Fatalf("err = %v, want the callback error", err)
+	}
+	if got := h.n.Load(); got != shards {
+		t.Fatalf("%d job cancellations had landed when Run returned, want %d", got, shards)
 	}
 }

@@ -5,10 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"dispersion"
 	"dispersion/agg"
@@ -170,5 +173,34 @@ func TestRunSummaryRotatesDeadServer(t *testing.T) {
 	want := directSummary(t, req)
 	if got := runSummaryJSON(t, c, req); !bytes.Equal(got, want) {
 		t.Fatal("summary with a dead server in the pool diverged")
+	}
+}
+
+// A shard whose every job fails after the same partial progress is not
+// making progress: the summary-mode retry ladder counts progress against
+// the shard's high-water mark of completed trials, so repeated failures
+// at completed=3 exhaust the retry budget instead of resubmitting until
+// the context deadline.
+func TestRunSummaryPartialProgressExhaustsRetries(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+			w.WriteHeader(http.StatusCreated)
+			w.Write([]byte(`{"id":"j1","state":"queued"}`))
+		case strings.HasSuffix(r.URL.Path, "/summary"):
+			w.Write([]byte(`{"state":"failed","completed":3}`))
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(ts.Close)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	c := &shard.Coordinator{Servers: []string{ts.URL}, Shards: 1, Retries: 2, JitterSeed: 1}
+	req := server.JobRequest{Process: "sequential", Spec: "complete:16", Trials: 10, Seed: 1}
+	_, err := c.RunSummary(ctx, req)
+	if err == nil || !strings.Contains(err.Error(), "no progress after 2 attempts") {
+		t.Fatalf("err = %v, want retry exhaustion", err)
 	}
 }
