@@ -70,11 +70,10 @@ type Coordinator struct {
 	// http.DefaultClient. Do not set a client Timeout: result streams of
 	// long jobs are expected to stay open indefinitely.
 	Client *http.Client
-	// Retries caps the consecutive attempts a shard makes without
-	// settling more of its trials than ever before (a new result in Run,
-	// a higher completed count in RunSummary) before the run is
-	// abandoned; attempts that make progress reset the budget. 0 means
-	// 5. 429 admission-control rejections do not consume this budget:
+	// Retries caps the consecutive attempts a shard makes without moving
+	// forward (a new result in Run; in RunSummary, a poll that sees the
+	// running job's completed count rise) before the run is abandoned;
+	// attempts that move forward reset the budget. 0 means 5. 429 admission-control rejections do not consume this budget:
 	// the coordinator obeys the server's Retry-After hint on a separate,
 	// larger throttle budget.
 	Retries int
@@ -268,12 +267,12 @@ type shardMode interface {
 	// compute. It is asked before every (re)submission.
 	submitRange() trialRange
 	// follow follows the job at jobURL until the job ends or the
-	// connection breaks. progress is how many of the shard's trials are
-	// settled; complete reports that the shard's payload is whole,
+	// connection breaks. advanced reports that this attempt moved the
+	// shard forward; complete reports that the shard's payload is whole,
 	// whatever state the job ended in. Otherwise a nil err means state is
 	// the job's terminal state, and a non-nil err is an interruption:
 	// errJobGone forces a resubmission, anything else a re-follow.
-	follow(ctx context.Context, jobURL string) (progress int, complete bool, state server.State, err error)
+	follow(ctx context.Context, jobURL string) (advanced, complete bool, state server.State, err error)
 }
 
 // runShard drives one shard to completion: submit a job, follow it
@@ -283,8 +282,7 @@ type shardMode interface {
 func (c *Coordinator) runShard(ctx context.Context, idx int, rg trialRange, req server.JobRequest, m shardMode) (err error) {
 	var (
 		jobURL    string // active job, "" when a (re)submit is needed
-		best      int    // the shard's high-water mark of settled trials
-		fails     int    // consecutive attempts that did not raise best
+		fails     int    // consecutive attempts that did not advance
 		throttles int    // consecutive 429-throttled submissions
 		lastErr   error
 	)
@@ -344,22 +342,18 @@ func (c *Coordinator) runShard(ctx context.Context, idx int, rg trialRange, req 
 			throttles = 0
 			jobURL = strings.TrimSuffix(base, "/") + "/v1/jobs/" + st.ID
 		}
-		progress, complete, state, err := m.follow(ctx, jobURL)
+		advanced, complete, state, err := m.follow(ctx, jobURL)
 		if complete {
 			return nil
 		}
-		// Progress counts against the high-water mark, not per job: a job
-		// that dies at the same point as its predecessor has not moved
-		// the shard forward.
-		if progress > best {
-			best = progress
+		if advanced {
 			fails = 0
 		}
 		switch {
 		case err == nil && state == server.StateDone:
 			// The job finished without completing the shard: a
 			// server-side bug.
-			return fmt.Errorf("job reported done after %d of %d trials", progress, rg.trials)
+			return fmt.Errorf("job reported done before settling all %d trials", rg.trials)
 		case err == nil:
 			// The job is terminally failed or cancelled; resubmit on the
 			// next server. A deterministic failure will exhaust the retry
@@ -397,8 +391,9 @@ func (m *streamMode) submitRange() trialRange {
 }
 
 // follow reads the job's results from ?from= past the lines already
-// consumed.
-func (m *streamMode) follow(ctx context.Context, jobURL string) (int, bool, server.State, error) {
+// consumed. Delivered results are never recomputed, so any new result
+// moves the shard forward.
+func (m *streamMode) follow(ctx context.Context, jobURL string) (bool, bool, server.State, error) {
 	n, state, err := m.c.readResults(ctx, jobURL, m.streamed, m.rg.first+m.done, m.ch)
 	m.streamed += n
 	m.done += n
@@ -408,7 +403,7 @@ func (m *streamMode) follow(ctx context.Context, jobURL string) (int, bool, serv
 		// because a server-side archive close failed) cannot change the
 		// results, and resubmitting a zero-trial remainder would be
 		// rejected anyway.
-		return m.done, true, state, nil
+		return true, true, state, nil
 	}
 	if err == nil && state == "" {
 		// A clean EOF without the trailer (e.g. a trailer-stripping
@@ -421,7 +416,7 @@ func (m *streamMode) follow(ctx context.Context, jobURL string) (int, bool, serv
 	if err == nil && !state.Terminal() {
 		err = errors.New("stream ended without a job-state trailer")
 	}
-	return m.done, false, state, err
+	return n > 0, false, state, err
 }
 
 // submit POSTs one shard's job request to the given server and returns

@@ -435,18 +435,33 @@ func TestValidationAndCancellation(t *testing.T) {
 	}
 }
 
-// countDeletes counts the DELETE requests a server receives before
-// handing every request to the wrapped handler.
-type countDeletes struct {
-	inner http.Handler
-	n     atomic.Int32
+// countRequests counts the distinct jobs whose results a server has
+// been asked for and the DELETE requests it receives, before handing
+// every request to the wrapped handler.
+type countRequests struct {
+	inner   http.Handler
+	mu      sync.Mutex
+	follows map[string]bool // results paths requested
+	deletes atomic.Int32
 }
 
-func (h *countDeletes) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodDelete {
-		h.n.Add(1)
+func (h *countRequests) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch {
+	case r.Method == http.MethodDelete:
+		h.deletes.Add(1)
+	case strings.HasSuffix(r.URL.Path, "/results"):
+		h.mu.Lock()
+		h.follows[r.URL.Path] = true
+		h.mu.Unlock()
 	}
 	h.inner.ServeHTTP(w, r)
+}
+
+// followed returns how many distinct jobs' results have been requested.
+func (h *countRequests) followed() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return len(h.follows)
 }
 
 // Run returns only after every shard goroutine has exited, so the
@@ -457,7 +472,7 @@ func TestRunWaitsForShardCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := &countDeletes{inner: server.New(m)}
+	h := &countRequests{inner: server.New(m), follows: map[string]bool{}}
 	ts := httptest.NewServer(h)
 	t.Cleanup(func() {
 		ts.Close()
@@ -469,11 +484,22 @@ func TestRunWaitsForShardCancellation(t *testing.T) {
 	req := server.JobRequest{Process: "parallel", Spec: "complete:16", Trials: shards * 1000, Seed: 6}
 	c := &shard.Coordinator{Servers: []string{ts.URL}, Shards: shards}
 	stop := errors.New("stop")
-	err = c.Run(context.Background(), req, func(dispersion.Trial) error { return stop })
+	err = c.Run(context.Background(), req, func(dispersion.Trial) error {
+		// Fail only once every shard follows its job, so each shard
+		// holds a job to cancel when it is abandoned.
+		deadline := time.Now().Add(10 * time.Second)
+		for h.followed() < shards && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		return stop
+	})
 	if !errors.Is(err, stop) {
 		t.Fatalf("err = %v, want the callback error", err)
 	}
-	if got := h.n.Load(); got != shards {
+	if n := h.followed(); n != shards {
+		t.Fatalf("only %d of %d shards followed a job", n, shards)
+	}
+	if got := h.deletes.Load(); got != shards {
 		t.Fatalf("%d job cancellations had landed when Run returned, want %d", got, shards)
 	}
 }

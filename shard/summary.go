@@ -25,8 +25,7 @@ import (
 // req.SummaryOnly is forced on for every shard submission. Shards go
 // through Run's retry loop: a failed or vanished shard job is
 // resubmitted on the next server, with the no-progress budget reset
-// whenever a poll observes the shard's completed-trial count pass its
-// previous best.
+// whenever a poll sees the running job's completed-trial count rise.
 //
 // With Checkpoint set, each completed shard's summary is appended to a
 // JSONL write-ahead log (pinned to the request by the same
@@ -116,27 +115,37 @@ func (c *Coordinator) RunSummary(ctx context.Context, req server.JobRequest) (*a
 type summaryMode struct {
 	c       *Coordinator
 	rg      trialRange
+	polled  int             // the active job's completed count at its last poll
 	summary json.RawMessage // the shard's summary once complete
 }
 
 // submitRange returns the whole range.
-func (m *summaryMode) submitRange() trialRange { return m.rg }
+func (m *summaryMode) submitRange() trialRange {
+	m.polled = 0 // a new job counts its trials from zero
+	return m.rg
+}
 
-// follow long-polls the job's summary until the job is terminal.
-func (m *summaryMode) follow(ctx context.Context, jobURL string) (int, bool, server.State, error) {
+// follow long-polls the job's summary until the job is terminal. Each
+// job recomputes the whole range, so progress is the active job's own:
+// a poll advances the shard when the running job's completed count has
+// risen since its last poll. The count reported with a failed or
+// cancelled state is not progress, because the next job starts over.
+func (m *summaryMode) follow(ctx context.Context, jobURL string) (bool, bool, server.State, error) {
 	sr, err := m.c.fetchSummary(ctx, jobURL)
 	switch {
 	case err != nil:
-		return 0, false, "", err
+		return false, false, "", err
 	case sr.State == server.StateDone && sr.Completed == m.rg.trials:
 		m.summary = sr.Summary
-		return sr.Completed, true, sr.State, nil
+		return true, true, sr.State, nil
 	case !sr.State.Terminal():
-		// The long poll returned early (e.g. its connection was cut
-		// before the job finished); poll again.
-		return sr.Completed, false, sr.State, fmt.Errorf("summary poll ended with job still %s", sr.State)
+		// The long poll returned early (SummaryMaxWait elapsed, or its
+		// connection was cut before the job finished); poll again.
+		advanced := sr.Completed > m.polled
+		m.polled = max(m.polled, sr.Completed)
+		return advanced, false, sr.State, fmt.Errorf("summary poll ended with job still %s", sr.State)
 	}
-	return sr.Completed, false, sr.State, nil
+	return false, false, sr.State, nil
 }
 
 // fetchSummary long-polls one job's summary endpoint with ?wait=1.

@@ -176,11 +176,11 @@ func TestRunSummaryRotatesDeadServer(t *testing.T) {
 	}
 }
 
-// A shard whose every job fails after the same partial progress is not
-// making progress: the summary-mode retry ladder counts progress against
-// the shard's high-water mark of completed trials, so repeated failures
-// at completed=3 exhaust the retry budget instead of resubmitting until
-// the context deadline.
+// A shard whose every job fails after partial progress is not making
+// progress: the next job recomputes the whole range, so the completed
+// count reported with a failed state does not count, and repeated
+// failures at completed=3 exhaust the retry budget instead of
+// resubmitting until the context deadline.
 func TestRunSummaryPartialProgressExhaustsRetries(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
@@ -202,5 +202,65 @@ func TestRunSummaryPartialProgressExhaustsRetries(t *testing.T) {
 	_, err := c.RunSummary(ctx, req)
 	if err == nil || !strings.Contains(err.Error(), "no progress after 2 attempts") {
 		t.Fatalf("err = %v, want retry exhaustion", err)
+	}
+}
+
+// A summary shard whose job is killed after long partial progress — the
+// footprint of a server restart — is resubmitted, and the new job, which
+// starts the range over, runs to completion: every early long-poll
+// return that sees the running job's count rise is progress, even while
+// the new job is still behind the point where the old one died.
+func TestRunSummaryResubmittedJobFinishes(t *testing.T) {
+	m, err := server.NewManager(server.ManagerOptions{EngineWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := server.New(m)
+	srv.SummaryMaxWait = 100 * time.Millisecond
+	ts := httptest.NewServer(srv)
+	t.Cleanup(func() {
+		ts.Close()
+		m.Close()
+	})
+	// The first job dies after over a second of work at the test's usual
+	// speed, so its successor needs several early poll returns, and more
+	// retry-budget attempts than Retries, to catch up with it.
+	req := server.JobRequest{Process: "sequential", Spec: "cycle:64", Trials: summaryKillTrials * 6 / 5, Seed: 8}
+	stop := make(chan struct{})
+	killed := make(chan struct{})
+	go func() {
+		defer close(killed)
+		for {
+			for _, st := range m.List() {
+				if st.State == server.StateRunning && st.Completed >= summaryKillTrials {
+					j, _ := m.Get(st.ID)
+					j.Cancel()
+					return
+				}
+			}
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+
+	c := &shard.Coordinator{Servers: []string{ts.URL}, Shards: 1, Retries: 3, JitterSeed: 1}
+	sum, err := c.RunSummary(context.Background(), req)
+	close(stop)
+	<-killed
+	if err != nil {
+		t.Fatalf("RunSummary after a killed job: %v", err)
+	}
+	got, err := json.Marshal(sum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := directSummary(t, req); !bytes.Equal(got, want) {
+		t.Fatal("summary with a killed-and-resubmitted shard diverged")
+	}
+	if jobs := m.List(); len(jobs) != 2 || jobs[0].State != server.StateCancelled {
+		t.Fatalf("want one cancelled job and its resubmission, saw %d jobs", len(jobs))
 	}
 }
