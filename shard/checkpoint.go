@@ -17,7 +17,8 @@ import (
 
 // wal is the coordinator's write-ahead log, one type for both modes: a
 // JSONL file pinned to its job request by a "<path>.meta" sidecar,
-// appended in order and fsynced every syncEvery appends and on Close. Run
+// appended in order and fsynced every syncEvery appends and on Close when
+// appends are still unsynced. Run
 // logs one sink.Record per merged result, in trial order, before handing
 // the result to the caller; RunSummary logs one summaryRecord per
 // completed shard. Either way a killed coordinator resumes from the last
@@ -169,17 +170,20 @@ func (w *wal) Append(rec any) error {
 	return w.f.Sync()
 }
 
-// Close syncs and closes the log, reporting any error — the caller must
-// not claim durable completion over a failed sync. Close is idempotent
-// and a no-op on a nil log, so callers can both defer it for cleanup and
-// check it on success.
+// Close syncs any unsynced appends and closes the log, reporting any
+// error — the caller must not claim durable completion over a failed
+// sync. Close is idempotent and a no-op on a nil log, so callers can both
+// defer it for cleanup and check it on success.
 func (w *wal) Close() error {
 	if w == nil || w.f == nil {
 		return nil
 	}
 	f := w.f
 	w.f = nil
-	serr := f.Sync()
+	var serr error
+	if w.unsynced > 0 {
+		serr = f.Sync()
+	}
 	cerr := f.Close()
 	if serr != nil {
 		return serr
