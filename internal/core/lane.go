@@ -20,9 +20,10 @@ import (
 )
 
 // LaneVariant selects the Sequential-family settlement law a batched lane
-// run executes. LaneNone marks a process with no batched form: the
-// interacting processes (Parallel, Uniform, the continuous clocks) are
-// inherently cross-particle and stay scalar.
+// run executes; the scalar loops resolve their settle law from it too.
+// LaneNone marks a process with no batched form: the interacting processes
+// (Parallel, Uniform, the continuous clocks) are inherently cross-particle
+// and stay scalar.
 type LaneVariant uint8
 
 const (
@@ -36,7 +37,8 @@ const (
 	// LaneThreshold is SequentialThreshold: settle only from step T on.
 	LaneThreshold
 	// LaneCapacity is CapacitySequential: settle while the standing
-	// vertex is below its capacity.
+	// vertex is below its capacity. CapacityParallel's scalar round loop
+	// uses the same law.
 	LaneCapacity
 )
 
@@ -190,34 +192,11 @@ func RunLane(g graph.Graph, origin int, opt Options, variant LaneVariant, seeds 
 	if err := validateRun(g, origin); err != nil {
 		return err
 	}
-	var (
-		k    int
-		q    float64
-		T    int64
-		plan capPlan
-		err  error
-	)
-	switch variant {
-	case LaneStandard:
-		k, err = opt.numParticles(n)
-	case LaneGeom:
-		if k, err = opt.numParticles(n); err == nil {
-			q, err = opt.geomParam()
-		}
-	case LaneThreshold:
-		if k, err = opt.numParticles(n); err == nil {
-			T, err = opt.thresholdParam(n)
-		}
-	case LaneCapacity:
-		if plan, err = opt.capacityPlan(n); err == nil {
-			k, err = opt.numParticlesCap(n, plan)
-		}
-	default:
-		return fmt.Errorf("core: process has no batched form")
-	}
+	k, law, err := opt.settleLaw(n, variant)
 	if err != nil {
 		return err
 	}
+	q, T, plan := law.q, law.T, law.plan
 	if len(seeds) == 0 {
 		return nil
 	}

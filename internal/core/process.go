@@ -14,8 +14,12 @@
 // its working buffers from a reusable per-worker Scratch — the
 // zero-allocation hot path the public engine drives. Both forms consume
 // the identical RNG stream, so they are interchangeable sample path for
-// sample path. Every walk step dispatches through the step Kernel the
-// graph selected at build time (closed-form for arithmetic families,
+// sample path. Every *Into starts with the same preamble (begin), and the
+// processes that differ only in their settle law share one loop per
+// schedule: the four Sequential-family processes run through the particle
+// loop sequentialInto, and Parallel and CapacityParallel through the round
+// loop parallelInto. Every walk step dispatches through the step Kernel
+// the graph selected at build time (closed-form for arithmetic families,
 // fused CSR otherwise), which is likewise draw-for-draw identical to the
 // generic CSR lookup.
 package core
@@ -262,6 +266,59 @@ func validateRun(g graph.Graph, origin int) error {
 	return nil
 }
 
+// begin is the preamble every process shares. It resolves the particle
+// count and the settle law of variant, checks the graph and origin, and
+// readies res for k particles and s (allocated when nil) for the run, with
+// capacity counts under the capacity law.
+func begin(g graph.Graph, origin int, opt *Options, variant LaneVariant, s *Scratch, res *Result) (int, settleLaw, *Scratch, error) {
+	n := g.N()
+	k, law, err := opt.settleLaw(n, variant)
+	if err != nil {
+		return 0, law, nil, err
+	}
+	if err := validateRun(g, origin); err != nil {
+		return 0, law, nil, err
+	}
+	if s == nil {
+		s = NewScratch()
+	}
+	res.reset(k, opt.Record)
+	s.beginRun(n, k)
+	if variant == LaneCapacity {
+		res.Capacity = law.plan.uniform
+		s.counts(n)
+	}
+	return k, law, s, nil
+}
+
+// place draws every particle's start vertex into s.pos, in particle order,
+// and opens each recorded trajectory there: the start of the processes
+// whose particles all move at once.
+func (s *Scratch) place(n, k, origin int, opt *Options, r *rng.Source, res *Result) []int32 {
+	s.pos = growI32(s.pos, k)
+	for i := range s.pos {
+		s.pos[i] = opt.startVertex(origin, n, r)
+		if opt.Record {
+			res.Trajectories[i] = []int32{s.pos[i]}
+		}
+	}
+	return s.pos
+}
+
+// exhausted reports whether a run that has taken total steps hit MaxSteps.
+func (o *Options) exhausted(total int64) bool {
+	return o.MaxSteps > 0 && total >= o.MaxSteps
+}
+
+// budget returns how many more steps a run that has taken total steps may
+// take before MaxSteps fires.
+func (o *Options) budget(total int64) int64 {
+	if o.MaxSteps > 0 {
+		return o.MaxSteps - total
+	}
+	return math.MaxInt64
+}
+
 // step advances one particle one move under the configured walk law,
 // dispatching through the graph's step kernel.
 func step(kern graph.Kernel, v int32, lazy bool, r *rng.Source) int32 {
@@ -287,49 +344,26 @@ func Sequential(g graph.Graph, origin int, opt Options, r *rng.Source) (*Result,
 // one). res is fully overwritten, reusing its backing arrays; the RNG
 // stream consumed is identical to Sequential's.
 func SequentialInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *Result) error {
-	n := g.N()
-	k, err := opt.numParticles(n)
+	return sequentialInto(g, origin, &opt, LaneStandard, r, s, res)
+}
+
+// sequentialInto is the one particle loop of the Sequential family; the
+// settle law resolved from variant is all that tells its processes apart.
+// Each particle alternates a walk over occupied vertices with the law's
+// verdict on the vacant vertex it then stands on, and a refused standing
+// costs one forced move before the next walk. Without Record the walk is
+// one scratch-dispatched kernel call (the fused dense loop, or the
+// draw-identical sparse Step loop), so the per-step arithmetic inlines into
+// the kernel's concrete loop instead of paying an interface dispatch per
+// step; under Record it is the equivalent step loop, appending to the
+// trajectory.
+func sequentialInto(g graph.Graph, origin int, opt *Options, variant LaneVariant, r *rng.Source, s *Scratch, res *Result) error {
+	k, law, s, err := begin(g, origin, opt, variant, s, res)
 	if err != nil {
 		return err
 	}
-	if err := validateRun(g, origin); err != nil {
-		return err
-	}
-	if s == nil {
-		s = NewScratch()
-	}
-	res.reset(k, opt.Record)
-	s.beginRun(n, k)
+	n := g.N()
 	kern := g.Kernel()
-	rule := opt.Rule
-	if rule == nil && !opt.Record {
-		// Hot path: the entire settlement walk of each particle runs as
-		// one scratch-dispatched kernel call (the fused dense loop, or the
-		// draw-identical sparse Step loop), so the per-step arithmetic
-		// (including the RNG) inlines into the kernel's concrete loop
-		// instead of paying an interface dispatch per step. Draw-for-draw
-		// identical to the general loop below.
-		for i := 0; i < k; i++ {
-			v := opt.startVertex(origin, n, r)
-			budget := int64(math.MaxInt64)
-			if opt.MaxSteps > 0 {
-				budget = opt.MaxSteps - res.TotalSteps
-			}
-			v, steps := s.walkUntilVacant(kern, v, opt.Lazy, budget, r)
-			res.TotalSteps += steps
-			if steps >= budget {
-				// The MaxSteps guard fires mid-walk, exactly as the
-				// step-by-step loop would have: the particle does not
-				// settle even if its last move reached a vacant vertex.
-				res.Truncated = true
-				res.Steps[i] = steps
-				return nil
-			}
-			s.occupy(v)
-			res.settle(i, v, steps, res.TotalSteps)
-		}
-		return nil
-	}
 	for i := 0; i < k; i++ {
 		v := opt.startVertex(origin, n, r)
 		var steps int64
@@ -337,26 +371,42 @@ func SequentialInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Sc
 		if opt.Record {
 			traj = append(traj, v)
 		}
-		// A particle standing on a vacant vertex settles instantly (this
-		// is how the first particle claims the origin); a settlement rule
-		// may veto it, exactly as ρ̃ does in Proposition A.1.
-		for s.occupied(v) || (rule != nil && !rule(v, steps)) {
+		for !opt.exhausted(res.TotalSteps) {
+			if opt.Record {
+				for s.occupied(v) && !opt.exhausted(res.TotalSteps) {
+					v = step(kern, v, opt.Lazy, r)
+					steps++
+					res.TotalSteps++
+					traj = append(traj, v)
+				}
+			} else {
+				var walked int64
+				v, walked = s.walkUntilVacant(kern, v, opt.Lazy, opt.budget(res.TotalSteps), r)
+				steps += walked
+				res.TotalSteps += walked
+			}
+			// The MaxSteps guard wins over the law, even when the last
+			// move reached a vertex the particle could settle on.
+			if opt.exhausted(res.TotalSteps) || law.settles(v, steps, r) {
+				break
+			}
 			v = step(kern, v, opt.Lazy, r)
 			steps++
 			res.TotalSteps++
 			if opt.Record {
 				traj = append(traj, v)
 			}
-			if opt.MaxSteps > 0 && res.TotalSteps >= opt.MaxSteps {
-				res.Truncated = true
-				res.Steps[i] = steps
-				res.Trajectories = appendTraj(res.Trajectories, i, traj, opt.Record)
-				return nil
-			}
 		}
-		s.occupy(v)
+		if opt.Record {
+			res.Trajectories[i] = traj
+		}
+		if opt.exhausted(res.TotalSteps) {
+			res.Truncated = true
+			res.Steps[i] = steps
+			return nil
+		}
+		law.occupy(s, v)
 		res.settle(i, v, steps, res.TotalSteps)
-		res.Trajectories = appendTraj(res.Trajectories, i, traj, opt.Record)
 	}
 	return nil
 }
@@ -380,19 +430,18 @@ func Parallel(g graph.Graph, origin int, opt Options, r *rng.Source) (*Result, e
 // Scratch (nil allocates a transient one). res is fully overwritten; the
 // RNG stream consumed is identical to Parallel's.
 func ParallelInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *Result) error {
-	n := g.N()
-	k, err := opt.numParticles(n)
+	return parallelInto(g, origin, &opt, LaneStandard, r, s, res)
+}
+
+// parallelInto is the one round loop of the Parallel family. A particle
+// settles on a vertex that is not occupied, which under the capacity law
+// means not yet full: settling there counts the particle, and marks the
+// vertex occupied once it holds its capacity.
+func parallelInto(g graph.Graph, origin int, opt *Options, variant LaneVariant, r *rng.Source, s *Scratch, res *Result) error {
+	k, law, s, err := begin(g, origin, opt, variant, s, res)
 	if err != nil {
 		return err
 	}
-	if err := validateRun(g, origin); err != nil {
-		return err
-	}
-	if s == nil {
-		s = NewScratch()
-	}
-	res.reset(k, opt.Record)
-	s.beginRun(n, k)
 	kern := g.Kernel()
 
 	// Priority order for settlement conflicts: least index, or a uniform
@@ -405,25 +454,16 @@ func ParallelInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scra
 	if opt.RandomPriority {
 		r.Shuffle(len(prio), func(i, j int) { prio[i], prio[j] = prio[j], prio[i] })
 	}
-	s.pos = growI32(s.pos, k)
-	pos := s.pos
-	for i := range pos {
-		pos[i] = opt.startVertex(origin, n, r)
-	}
-	if opt.Record {
-		for i := 0; i < k; i++ {
-			res.Trajectories[i] = []int32{pos[i]}
-		}
-	}
+	pos := s.place(g.N(), k, origin, opt, r, res)
 	// Round 0 settlement: every particle standing on a vacant vertex
-	// settles, one per vertex in priority order. With a common origin
-	// this is exactly "one of them instantaneously settles at the
-	// origin".
+	// settles, in priority order. With a common origin this is exactly
+	// "one of them instantaneously settles at the origin" (c of them,
+	// under capacity c).
 	s.active = growI32(s.active, k)[:0]
 	active := s.active
 	for _, p := range prio {
 		if !s.occupied(pos[p]) {
-			s.occupy(pos[p])
+			law.occupy(s, pos[p])
 			res.settle(int(p), pos[p], 0, 0)
 		} else {
 			active = append(active, p)
@@ -442,18 +482,18 @@ func ParallelInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scra
 				res.Trajectories[p] = append(res.Trajectories[p], pos[p])
 			}
 		}
-		// Settlement resolution in priority order: one settler per vertex.
+		// Settlement resolution in priority order.
 		keep := active[:0]
 		for _, p := range active {
 			if !s.occupied(pos[p]) {
-				s.occupy(pos[p])
+				law.occupy(s, pos[p])
 				res.settle(int(p), pos[p], res.Steps[p], round)
 			} else {
 				keep = append(keep, p)
 			}
 		}
 		active = keep
-		if opt.MaxSteps > 0 && res.TotalSteps >= opt.MaxSteps {
+		if opt.exhausted(res.TotalSteps) {
 			res.Truncated = true
 			return nil
 		}
@@ -481,30 +521,12 @@ func Uniform(g graph.Graph, origin int, opt Options, r *rng.Source) (*Result, er
 // allocates a transient one). res is fully overwritten; the RNG stream
 // consumed is identical to Uniform's.
 func UniformInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *Result) error {
-	n := g.N()
-	k, err := opt.numParticles(n)
+	k, _, s, err := begin(g, origin, &opt, LaneStandard, s, res)
 	if err != nil {
 		return err
 	}
-	if err := validateRun(g, origin); err != nil {
-		return err
-	}
-	if s == nil {
-		s = NewScratch()
-	}
-	res.reset(k, opt.Record)
-	s.beginRun(n, k)
 	kern := g.Kernel()
-	s.pos = growI32(s.pos, k)
-	pos := s.pos
-	for i := range pos {
-		pos[i] = opt.startVertex(origin, n, r)
-	}
-	if opt.Record {
-		for i := 0; i < k; i++ {
-			res.Trajectories[i] = []int32{pos[i]}
-		}
-	}
+	pos := s.place(g.N(), k, origin, &opt, r, res)
 	s.active = growI32(s.active, k)[:0]
 	active := s.active
 	for i := 0; i < k; i++ {
@@ -532,7 +554,7 @@ func UniformInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scrat
 			active[ai] = active[len(active)-1]
 			active = active[:len(active)-1]
 		}
-		if opt.MaxSteps > 0 && res.TotalSteps >= opt.MaxSteps {
+		if opt.exhausted(res.TotalSteps) {
 			res.Truncated = true
 			return nil
 		}
@@ -548,13 +570,6 @@ func (res *Result) settle(particle int, v int32, steps, clock int64) {
 	if steps > res.Dispersion {
 		res.Dispersion = steps
 	}
-}
-
-func appendTraj(trajs [][]int32, i int, traj []int32, record bool) [][]int32 {
-	if record {
-		trajs[i] = traj
-	}
-	return trajs
 }
 
 // event is a pending clock ring in the continuous-time processes.
@@ -638,30 +653,13 @@ func CTUniform(g graph.Graph, origin int, opt Options, r *rng.Source) (*CTResult
 // (nil allocates a transient one). res is fully overwritten; the RNG
 // stream consumed is identical to CTUniform's.
 func CTUniformInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *CTResult) error {
-	n := g.N()
-	k, err := opt.numParticles(n)
+	k, _, s, err := begin(g, origin, &opt, LaneStandard, s, &res.Result)
 	if err != nil {
 		return err
 	}
-	if err := validateRun(g, origin); err != nil {
-		return err
-	}
-	if s == nil {
-		s = NewScratch()
-	}
-	res.reset(k, opt.Record)
-	s.beginRun(n, k)
+	res.resetClock(k)
 	kern := g.Kernel()
-	s.pos = growI32(s.pos, k)
-	pos := s.pos
-	for i := range pos {
-		pos[i] = opt.startVertex(origin, n, r)
-	}
-	if opt.Record {
-		for i := 0; i < k; i++ {
-			res.Trajectories[i] = []int32{pos[i]}
-		}
-	}
+	pos := s.place(g.N(), k, origin, &opt, r, &res.Result)
 	if cap(s.events) < k {
 		s.events = make(eventHeap, 0, k)
 	}
@@ -700,7 +698,7 @@ func CTUniformInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scr
 		} else {
 			h.push(event{t: e.t + r.ExpFloat64(), p: p})
 		}
-		if opt.MaxSteps > 0 && res.TotalSteps >= opt.MaxSteps {
+		if opt.exhausted(res.TotalSteps) {
 			res.Truncated = true
 			return nil
 		}
@@ -727,12 +725,7 @@ func CTSequentialInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *
 	if err := SequentialInto(g, origin, opt, r, s, &res.Result); err != nil {
 		return err
 	}
-	res.Time = 0
-	if cap(res.SettleTimes) < len(res.SettleOrder) {
-		res.SettleTimes = make([]float64, 0, len(res.SettleOrder))
-	} else {
-		res.SettleTimes = res.SettleTimes[:0]
-	}
+	res.resetClock(len(res.SettleOrder))
 	for _, p := range res.SettleOrder {
 		var walkTime float64
 		for st := int64(0); st < res.Steps[p]; st++ {

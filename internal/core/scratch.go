@@ -181,9 +181,9 @@ func (res *Result) reset(k int, record bool) {
 	}
 }
 
-// reset prepares a continuous-time result for a fresh run of k particles.
-func (res *CTResult) reset(k int, record bool) {
-	res.Result.reset(k, record)
+// resetClock prepares the continuous-time fields of res for a fresh run of
+// k settlements; Result.reset prepares the rest.
+func (res *CTResult) resetClock(k int) {
 	res.Time = 0
 	if cap(res.SettleTimes) < k {
 		res.SettleTimes = make([]float64, 0, k)

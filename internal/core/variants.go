@@ -1,10 +1,12 @@
-// This file holds the registered variant workloads: the Proposition A.1
-// modified settle rules (geometric acceptance and step-threshold
-// settlement) and the capacity-c generalization where every vertex hosts
-// up to c particles. Like the five standard processes, each comes as a
-// one-shot function and an *Into variant sharing the caller's Scratch and
-// Result buffers; the *Into forms are the engine's zero-allocation hot
-// path and dispatch every walk through the graph's step kernel.
+// This file holds the settle laws of the Sequential family: the standard
+// rule (with an optional Options.Rule veto), the Proposition A.1 modified
+// rules (geometric acceptance and step-threshold settlement), and the
+// capacity-c generalization where every vertex hosts up to c particles.
+// A law decides only what a particle standing on a vacant vertex does, so
+// every Sequential-family process runs through the one particle loop
+// sequentialInto, and both capacity processes through the shared loops
+// with the capacity law. The registered variants keep their one-shot
+// functions and *Into forms as thin law resolvers.
 
 package core
 
@@ -33,9 +35,9 @@ func (o *Options) geomParam() (float64, error) {
 }
 
 // thresholdParam resolves Options.SettleParam as SequentialThreshold's
-// minimum step count T (the fractional part is truncated). Zero means the
-// default n, the graph size; T = 0 is expressed by any negative-free
-// sub-one value and recovers the standard rule.
+// minimum step count T, truncating the fractional part. Zero means the
+// default n, the graph size. A SettleParam in (0,1) truncates to T = 0,
+// which is the standard rule.
 func (o *Options) thresholdParam(n int) (int64, error) {
 	if o.SettleParam == 0 {
 		return int64(n), nil
@@ -48,6 +50,71 @@ func (o *Options) thresholdParam(n int) (int64, error) {
 			o.SettleParam, math.MaxInt32)
 	}
 	return int64(o.SettleParam), nil
+}
+
+// settleLaw is the resolved settle law of a run: whether a particle
+// standing on a vacant vertex settles there, and what settling does to the
+// vertex.
+type settleLaw struct {
+	variant LaneVariant
+	rule    SettleRule // LaneStandard: Options.Rule; nil settles at once
+	q       float64    // LaneGeom: per-visit acceptance probability
+	T       int64      // LaneThreshold: first step a particle may settle on
+	plan    capPlan    // LaneCapacity: per-vertex capacities
+}
+
+// settleLaw resolves the particle count of a run on n vertices and the
+// settle law of variant, checking the options it reads.
+func (o *Options) settleLaw(n int, variant LaneVariant) (k int, law settleLaw, err error) {
+	law.variant = variant
+	switch variant {
+	case LaneStandard:
+		k, err = o.numParticles(n)
+		law.rule = o.Rule
+	case LaneGeom:
+		if k, err = o.numParticles(n); err == nil {
+			law.q, err = o.geomParam()
+		}
+	case LaneThreshold:
+		if k, err = o.numParticles(n); err == nil {
+			law.T, err = o.thresholdParam(n)
+		}
+	case LaneCapacity:
+		if law.plan, err = o.capacityPlan(n); err == nil {
+			k, err = o.numParticlesCap(n, law.plan)
+		}
+	default:
+		err = fmt.Errorf("core: process has no batched form")
+	}
+	return k, law, err
+}
+
+// settles reports whether a particle that has taken steps steps settles on
+// the vacant vertex v. Only the geometric law draws randomness: one coin
+// per vacant standing.
+func (l *settleLaw) settles(v int32, steps int64, r *rng.Source) bool {
+	switch l.variant {
+	case LaneGeom:
+		return r.Float64() < l.q
+	case LaneThreshold:
+		return steps >= l.T
+	}
+	return l.rule == nil || l.rule(v, steps)
+}
+
+// occupy settles one particle on v. The capacity law counts it and marks v
+// occupied once v holds its capacity, so every walk and settle test reads
+// the same occupancy map under every law.
+func (l *settleLaw) occupy(s *Scratch, v int32) {
+	if l.variant != LaneCapacity {
+		s.occupy(v)
+		return
+	}
+	c := s.count(v) + 1
+	s.setCount(v, c)
+	if int(c) == l.plan.at(v) {
+		s.occupy(v)
+	}
 }
 
 // SequentialGeom runs the Sequential process under the geometric settle
@@ -66,87 +133,7 @@ func SequentialGeom(g graph.Graph, origin int, opt Options, r *rng.Source) (*Res
 // through the given Scratch (nil allocates a transient one). res is fully
 // overwritten; the RNG stream consumed is identical to SequentialGeom's.
 func SequentialGeomInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *Result) error {
-	n := g.N()
-	k, err := opt.numParticles(n)
-	if err != nil {
-		return err
-	}
-	q, err := opt.geomParam()
-	if err != nil {
-		return err
-	}
-	if err := validateRun(g, origin); err != nil {
-		return err
-	}
-	if s == nil {
-		s = NewScratch()
-	}
-	res.reset(k, opt.Record)
-	s.beginRun(n, k)
-	kern := g.Kernel()
-	if !opt.Record {
-		// Hot path: each stretch of occupied vertices runs as one kernel
-		// call; the acceptance coin is drawn only on vacant standings, so
-		// the draw sequence matches the recording loop below exactly.
-		for i := 0; i < k; i++ {
-			v := opt.startVertex(origin, n, r)
-			var steps int64
-			for {
-				budget := int64(math.MaxInt64)
-				if opt.MaxSteps > 0 {
-					budget = opt.MaxSteps - res.TotalSteps
-				}
-				var walked int64
-				v, walked = s.walkUntilVacant(kern, v, opt.Lazy, budget, r)
-				steps += walked
-				res.TotalSteps += walked
-				if walked >= budget {
-					res.Truncated = true
-					res.Steps[i] = steps
-					return nil
-				}
-				if r.Float64() < q {
-					break
-				}
-				// Rejected the vacant vertex: one forced move, then keep
-				// walking.
-				v = step(kern, v, opt.Lazy, r)
-				steps++
-				res.TotalSteps++
-				if opt.MaxSteps > 0 && res.TotalSteps >= opt.MaxSteps {
-					res.Truncated = true
-					res.Steps[i] = steps
-					return nil
-				}
-			}
-			s.occupy(v)
-			res.settle(i, v, steps, res.TotalSteps)
-		}
-		return nil
-	}
-	for i := 0; i < k; i++ {
-		v := opt.startVertex(origin, n, r)
-		var steps int64
-		traj := []int32{v}
-		// Standing on an occupied vertex draws no acceptance coin (the
-		// short-circuit mirrors the hot path's WalkUntilVacant stretch).
-		for s.occupied(v) || r.Float64() >= q {
-			v = step(kern, v, opt.Lazy, r)
-			steps++
-			res.TotalSteps++
-			traj = append(traj, v)
-			if opt.MaxSteps > 0 && res.TotalSteps >= opt.MaxSteps {
-				res.Truncated = true
-				res.Steps[i] = steps
-				res.Trajectories[i] = traj
-				return nil
-			}
-		}
-		s.occupy(v)
-		res.settle(i, v, steps, res.TotalSteps)
-		res.Trajectories[i] = traj
-	}
-	return nil
+	return sequentialInto(g, origin, &opt, LaneGeom, r, s, res)
 }
 
 // SequentialThreshold runs the Sequential process under the step-threshold
@@ -167,82 +154,7 @@ func SequentialThreshold(g graph.Graph, origin int, opt Options, r *rng.Source) 
 // one). res is fully overwritten; the RNG stream consumed is identical to
 // SequentialThreshold's.
 func SequentialThresholdInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *Result) error {
-	n := g.N()
-	k, err := opt.numParticles(n)
-	if err != nil {
-		return err
-	}
-	T, err := opt.thresholdParam(n)
-	if err != nil {
-		return err
-	}
-	if err := validateRun(g, origin); err != nil {
-		return err
-	}
-	if s == nil {
-		s = NewScratch()
-	}
-	res.reset(k, opt.Record)
-	s.beginRun(n, k)
-	kern := g.Kernel()
-	for i := 0; i < k; i++ {
-		v := opt.startVertex(origin, n, r)
-		var steps int64
-		var traj []int32
-		if opt.Record {
-			traj = append(traj, v)
-		}
-		// Phase one: the forced walk below the threshold, blind to
-		// occupancy.
-		for steps < T {
-			v = step(kern, v, opt.Lazy, r)
-			steps++
-			res.TotalSteps++
-			if opt.Record {
-				traj = append(traj, v)
-			}
-			if opt.MaxSteps > 0 && res.TotalSteps >= opt.MaxSteps {
-				res.Truncated = true
-				res.Steps[i] = steps
-				res.Trajectories = appendTraj(res.Trajectories, i, traj, opt.Record)
-				return nil
-			}
-		}
-		// Phase two: the standard settlement walk to the first vacant
-		// standing vertex, fused into one kernel call when not recording.
-		if !opt.Record {
-			budget := int64(math.MaxInt64)
-			if opt.MaxSteps > 0 {
-				budget = opt.MaxSteps - res.TotalSteps
-			}
-			var walked int64
-			v, walked = s.walkUntilVacant(kern, v, opt.Lazy, budget, r)
-			steps += walked
-			res.TotalSteps += walked
-			if walked >= budget {
-				res.Truncated = true
-				res.Steps[i] = steps
-				return nil
-			}
-		} else {
-			for s.occupied(v) {
-				v = step(kern, v, opt.Lazy, r)
-				steps++
-				res.TotalSteps++
-				traj = append(traj, v)
-				if opt.MaxSteps > 0 && res.TotalSteps >= opt.MaxSteps {
-					res.Truncated = true
-					res.Steps[i] = steps
-					res.Trajectories[i] = traj
-					return nil
-				}
-			}
-		}
-		s.occupy(v)
-		res.settle(i, v, steps, res.TotalSteps)
-		res.Trajectories = appendTraj(res.Trajectories, i, traj, opt.Record)
-	}
-	return nil
+	return sequentialInto(g, origin, &opt, LaneThreshold, r, s, res)
 }
 
 // CapacitySequential runs the capacity-c Sequential process: the
@@ -262,78 +174,9 @@ func CapacitySequential(g graph.Graph, origin int, opt Options, r *rng.Source) (
 // CapacitySequentialInto is CapacitySequential writing into a caller-owned
 // Result through the given Scratch (nil allocates a transient one). res is
 // fully overwritten; the RNG stream consumed is identical to
-// CapacitySequential's. Vertices at capacity are stamped into the same
-// occupancy map the unit-capacity walks test, so the whole settlement walk
-// still runs behind one kernel dispatch.
+// CapacitySequential's.
 func CapacitySequentialInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *Result) error {
-	n := g.N()
-	plan, err := opt.capacityPlan(n)
-	if err != nil {
-		return err
-	}
-	k, err := opt.numParticlesCap(n, plan)
-	if err != nil {
-		return err
-	}
-	if err := validateRun(g, origin); err != nil {
-		return err
-	}
-	if s == nil {
-		s = NewScratch()
-	}
-	res.reset(k, opt.Record)
-	res.Capacity = plan.uniform
-	s.beginRun(n, k)
-	s.counts(n)
-	kern := g.Kernel()
-	if !opt.Record {
-		for i := 0; i < k; i++ {
-			v := opt.startVertex(origin, n, r)
-			budget := int64(math.MaxInt64)
-			if opt.MaxSteps > 0 {
-				budget = opt.MaxSteps - res.TotalSteps
-			}
-			v, steps := s.walkUntilVacant(kern, v, opt.Lazy, budget, r)
-			res.TotalSteps += steps
-			if steps >= budget {
-				res.Truncated = true
-				res.Steps[i] = steps
-				return nil
-			}
-			cv := s.count(v) + 1
-			s.setCount(v, cv)
-			if int(cv) == plan.at(v) {
-				s.occupy(v)
-			}
-			res.settle(i, v, steps, res.TotalSteps)
-		}
-		return nil
-	}
-	for i := 0; i < k; i++ {
-		v := opt.startVertex(origin, n, r)
-		var steps int64
-		traj := []int32{v}
-		for s.occupied(v) {
-			v = step(kern, v, opt.Lazy, r)
-			steps++
-			res.TotalSteps++
-			traj = append(traj, v)
-			if opt.MaxSteps > 0 && res.TotalSteps >= opt.MaxSteps {
-				res.Truncated = true
-				res.Steps[i] = steps
-				res.Trajectories[i] = traj
-				return nil
-			}
-		}
-		cv := s.count(v) + 1
-		s.setCount(v, cv)
-		if int(cv) == plan.at(v) {
-			s.occupy(v)
-		}
-		res.settle(i, v, steps, res.TotalSteps)
-		res.Trajectories[i] = traj
-	}
-	return nil
+	return sequentialInto(g, origin, &opt, LaneCapacity, r, s, res)
 }
 
 // CapacityParallel runs the capacity-c Parallel process: all particles
@@ -355,108 +198,5 @@ func CapacityParallel(g graph.Graph, origin int, opt Options, r *rng.Source) (*R
 // fully overwritten; the RNG stream consumed is identical to
 // CapacityParallel's.
 func CapacityParallelInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *Result) error {
-	n := g.N()
-	plan, err := opt.capacityPlan(n)
-	if err != nil {
-		return err
-	}
-	k, err := opt.numParticlesCap(n, plan)
-	if err != nil {
-		return err
-	}
-	if err := validateRun(g, origin); err != nil {
-		return err
-	}
-	if s == nil {
-		s = NewScratch()
-	}
-	res.reset(k, opt.Record)
-	res.Capacity = plan.uniform
-	s.beginRun(n, k)
-	s.counts(n)
-	kern := g.Kernel()
-
-	s.prio = growI32(s.prio, k)
-	prio := s.prio
-	for i := range prio {
-		prio[i] = int32(i)
-	}
-	if opt.RandomPriority {
-		r.Shuffle(len(prio), func(i, j int) { prio[i], prio[j] = prio[j], prio[i] })
-	}
-	s.pos = growI32(s.pos, k)
-	pos := s.pos
-	for i := range pos {
-		pos[i] = opt.startVertex(origin, n, r)
-	}
-	if opt.Record {
-		for i := 0; i < k; i++ {
-			res.Trajectories[i] = []int32{pos[i]}
-		}
-	}
-	// capAt resolves a vertex's capacity inside the round loops. The
-	// uniform law (the overwhelmingly common one) keeps the historical
-	// compare-against-a-constant hot loop; only vector runs pay the
-	// per-vertex lookup.
-	uniform := plan.caps == nil
-	c := plan.uniform
-
-	// Round 0 settlement: every vertex accepts standing particles up to
-	// its capacity, in priority order. With a common origin, c of them
-	// settle there instantly.
-	s.active = growI32(s.active, k)[:0]
-	active := s.active
-	for _, p := range prio {
-		at := c
-		if !uniform {
-			at = plan.caps[pos[p]]
-		}
-		if cv := s.count(pos[p]); int(cv) < at {
-			s.setCount(pos[p], cv+1)
-			res.settle(int(p), pos[p], 0, 0)
-		} else {
-			active = append(active, p)
-		}
-	}
-
-	var round int64
-	for len(active) > 0 {
-		round++
-		for _, p := range active {
-			pos[p] = step(kern, pos[p], opt.Lazy, r)
-			res.Steps[p]++
-			res.TotalSteps++
-			if opt.Record {
-				res.Trajectories[p] = append(res.Trajectories[p], pos[p])
-			}
-		}
-		// Settlement resolution in priority order: each vertex accepts
-		// arrivals until it reaches capacity.
-		keep := active[:0]
-		if uniform {
-			for _, p := range active {
-				if cv := s.count(pos[p]); int(cv) < c {
-					s.setCount(pos[p], cv+1)
-					res.settle(int(p), pos[p], res.Steps[p], round)
-				} else {
-					keep = append(keep, p)
-				}
-			}
-		} else {
-			for _, p := range active {
-				if cv := s.count(pos[p]); int(cv) < plan.caps[pos[p]] {
-					s.setCount(pos[p], cv+1)
-					res.settle(int(p), pos[p], res.Steps[p], round)
-				} else {
-					keep = append(keep, p)
-				}
-			}
-		}
-		active = keep
-		if opt.MaxSteps > 0 && res.TotalSteps >= opt.MaxSteps {
-			res.Truncated = true
-			return nil
-		}
-	}
-	return nil
+	return parallelInto(g, origin, &opt, LaneCapacity, r, s, res)
 }
