@@ -73,8 +73,12 @@ type Coordinator struct {
 	// Retries caps the consecutive attempts a shard makes without moving
 	// forward (a new result in Run; in RunSummary, a poll that sees the
 	// running job's completed count rise) before the run is abandoned;
-	// attempts that move forward reset the budget. 0 means 5. 429 admission-control rejections do not consume this budget:
-	// the coordinator obeys the server's Retry-After hint on a separate,
+	// attempts that move forward reset the budget. 0 means 5. A summary
+	// job's progress dies with the job, so RunSummary also abandons the
+	// run, with the last job's error, once a shard's jobs have ended
+	// failed, cancelled or gone Retries times in a row. 429
+	// admission-control rejections do not consume this budget: the
+	// coordinator obeys the server's Retry-After hint on a separate,
 	// larger throttle budget.
 	Retries int
 	// JitterSeed seeds the backoff jitter deterministically; 0 (the
@@ -273,6 +277,10 @@ type shardMode interface {
 	// the job's terminal state, and a non-nil err is an interruption:
 	// errJobGone forces a resubmission, anything else a re-follow.
 	follow(ctx context.Context, jobURL string) (advanced, complete bool, state server.State, err error)
+	// durable reports whether the progress an advancing follow made
+	// survives the loss of its job. Where it does not, consecutive lost
+	// jobs count against the retry budget however far each one got.
+	durable() bool
 }
 
 // runShard drives one shard to completion: submit a job, follow it
@@ -283,6 +291,7 @@ func (c *Coordinator) runShard(ctx context.Context, idx int, rg trialRange, req 
 	var (
 		jobURL    string // active job, "" when a (re)submit is needed
 		fails     int    // consecutive attempts that did not advance
+		lost      int    // consecutive jobs lost without durable progress
 		throttles int    // consecutive 429-throttled submissions
 		lastErr   error
 	)
@@ -300,6 +309,9 @@ func (c *Coordinator) runShard(ctx context.Context, idx int, rg trialRange, req 
 		}
 		if fails >= c.retries() {
 			return fmt.Errorf("no progress after %d attempts: %w", fails, lastErr)
+		}
+		if lost >= c.retries() {
+			return fmt.Errorf("%d jobs in a row ended unfinished: %w", lost, lastErr)
 		}
 		if fails > 0 {
 			// Back off after a no-progress attempt so a brief outage — a
@@ -348,6 +360,9 @@ func (c *Coordinator) runShard(ctx context.Context, idx int, rg trialRange, req 
 		}
 		if advanced {
 			fails = 0
+			if m.durable() {
+				lost = 0
+			}
 		}
 		switch {
 		case err == nil && state == server.StateDone:
@@ -360,9 +375,11 @@ func (c *Coordinator) runShard(ctx context.Context, idx int, rg trialRange, req 
 			// budget and surface here.
 			lastErr = fmt.Errorf("job ended %s%s", state, c.jobError(ctx, jobURL))
 			jobURL = ""
+			lost++
 		case errors.Is(err, errJobGone):
 			lastErr = err
 			jobURL = ""
+			lost++
 		default:
 			// A transport cut or an early poll return: the job itself
 			// may be fine, so follow it again.
@@ -418,6 +435,9 @@ func (m *streamMode) follow(ctx context.Context, jobURL string) (bool, bool, ser
 	}
 	return n > 0, false, state, err
 }
+
+// durable is true: delivered results are merged and never recomputed.
+func (*streamMode) durable() bool { return true }
 
 // submit POSTs one shard's job request to the given server and returns
 // the accepted status.

@@ -25,7 +25,9 @@ import (
 // req.SummaryOnly is forced on for every shard submission. Shards go
 // through Run's retry loop: a failed or vanished shard job is
 // resubmitted on the next server, with the no-progress budget reset
-// whenever a poll sees the running job's completed-trial count rise.
+// whenever a poll sees the running job's completed-trial count rise. A
+// shard whose jobs end failed, cancelled or gone Retries times in a row
+// fails the run with the last job's error.
 //
 // With Checkpoint set, each completed shard's summary is appended to a
 // JSONL write-ahead log (pinned to the request by the same
@@ -147,6 +149,9 @@ func (m *summaryMode) follow(ctx context.Context, jobURL string) (bool, bool, se
 	}
 	return false, false, sr.State, nil
 }
+
+// durable is false: every resubmission starts the range over.
+func (*summaryMode) durable() bool { return false }
 
 // fetchSummary long-polls one job's summary endpoint with ?wait=1.
 func (c *Coordinator) fetchSummary(ctx context.Context, jobURL string) (server.SummaryResponse, error) {

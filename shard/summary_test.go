@@ -5,11 +5,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -202,6 +204,55 @@ func TestRunSummaryPartialProgressExhaustsRetries(t *testing.T) {
 	_, err := c.RunSummary(ctx, req)
 	if err == nil || !strings.Contains(err.Error(), "no progress after 2 attempts") {
 		t.Fatalf("err = %v, want retry exhaustion", err)
+	}
+}
+
+// A summary job that shows progress on an early long-poll return and then
+// fails, every time, still exhausts the retry budget: the progress dies
+// with each job, so Retries lost jobs in a row end the run with the last
+// job's error instead of resubmitting forever.
+func TestRunSummaryLostJobsExhaustRetries(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		jobs  int
+		polls = map[string]int{}
+	)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		defer mu.Unlock()
+		id := strings.TrimSuffix(strings.TrimPrefix(r.URL.Path, "/v1/jobs/"), "/summary")
+		switch {
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/jobs":
+			jobs++
+			w.WriteHeader(http.StatusCreated)
+			fmt.Fprintf(w, `{"id":"j%d","state":"queued"}`, jobs)
+		case strings.HasSuffix(r.URL.Path, "/summary"):
+			if polls[id]++; polls[id] == 1 {
+				w.Write([]byte(`{"state":"running","completed":4}`))
+			} else {
+				w.Write([]byte(`{"state":"failed","completed":7}`))
+			}
+		case r.Method == http.MethodGet:
+			fmt.Fprintf(w, `{"id":%q,"state":"failed","error":"%s crashed"}`, id, id)
+		default:
+			http.NotFound(w, r)
+		}
+	}))
+	t.Cleanup(ts.Close)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	c := &shard.Coordinator{Servers: []string{ts.URL}, Shards: 1, Retries: 3, JitterSeed: 1}
+	req := server.JobRequest{Process: "sequential", Spec: "complete:16", Trials: 10, Seed: 1}
+	_, err := c.RunSummary(ctx, req)
+	if err == nil || !strings.Contains(err.Error(), "3 jobs in a row ended unfinished") ||
+		!strings.Contains(err.Error(), "j3 crashed") {
+		t.Fatalf("err = %v, want the third lost job's error", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if jobs != 3 {
+		t.Fatalf("submitted %d jobs, want 3", jobs)
 	}
 }
 
