@@ -55,7 +55,7 @@ func main() {
 		servers    = flag.String("servers", "", "comma-separated dispersion-server base URLs (required)")
 		shards     = flag.Int("shards", 0, "number of trial-range shards K (0 = one per server)")
 		checkpoint = flag.String("checkpoint", "", "JSONL write-ahead result log; rerunning resumes from it")
-		retries    = flag.Int("retries", 0, "consecutive no-progress attempts before a shard gives up (0 = 5)")
+		retries    = flag.Int("retries", 0, "consecutive no-progress attempts, or lost -summary jobs, before a shard gives up (0 = 5)")
 
 		process = flag.String("process", "seq",
 			"process: seq|par|unif|ctu|ctseq|geom|thresh|cap|cap-par (or a lazy- prefix)")

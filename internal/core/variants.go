@@ -84,6 +84,8 @@ func (o *Options) settleLaw(n int, variant LaneVariant) (k int, law settleLaw, e
 			k, err = o.numParticlesCap(n, law.plan)
 		}
 	default:
+		// Only RunLane passes a caller's variant; the scalar loops pass
+		// their own.
 		err = fmt.Errorf("core: process has no batched form")
 	}
 	return k, law, err
