@@ -350,12 +350,12 @@ func SequentialInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Sc
 // sequentialInto is the one particle loop of the Sequential family; the
 // settle law resolved from variant is all that tells its processes apart.
 // Each particle alternates a walk over occupied vertices with the law's
-// verdict on the vacant vertex it then stands on, and a refused standing
-// costs one forced move before the next walk. Without Record the walk is
-// one scratch-dispatched kernel call (the fused dense loop, or the
-// draw-identical sparse Step loop), so the per-step arithmetic inlines into
-// the kernel's concrete loop instead of paying an interface dispatch per
-// step; under Record it is the equivalent step loop, appending to the
+// verdict on the vacant vertex it then stands on: settle, or take the
+// forced moves the law says it owes before the next walk. Without Record
+// the walk is one scratch-dispatched kernel call (the fused dense loop, or
+// the draw-identical sparse Step loop), so the per-step arithmetic inlines
+// into the kernel's concrete loop instead of paying an interface dispatch
+// per step; under Record it is the equivalent step loop, appending to the
 // trajectory.
 func sequentialInto(g graph.Graph, origin int, opt *Options, variant LaneVariant, r *rng.Source, s *Scratch, res *Result) error {
 	k, law, s, err := begin(g, origin, opt, variant, s, res)
@@ -387,14 +387,20 @@ func sequentialInto(g graph.Graph, origin int, opt *Options, variant LaneVariant
 			}
 			// The MaxSteps guard wins over the law, even when the last
 			// move reached a vertex the particle could settle on.
-			if opt.exhausted(res.TotalSteps) || law.settles(v, steps, r) {
+			if opt.exhausted(res.TotalSteps) || law.open {
 				break
 			}
-			v = step(kern, v, opt.Lazy, r)
-			steps++
-			res.TotalSteps++
-			if opt.Record {
-				traj = append(traj, v)
+			owed := law.owed(v, steps, r)
+			if owed == 0 {
+				break
+			}
+			for ; owed > 0 && !opt.exhausted(res.TotalSteps); owed-- {
+				v = step(kern, v, opt.Lazy, r)
+				steps++
+				res.TotalSteps++
+				if opt.Record {
+					traj = append(traj, v)
+				}
 			}
 		}
 		if opt.Record {

@@ -115,9 +115,11 @@ func (s *Scratch) setCount(v int32, c int32) {
 
 // occupied reports whether vertex v hosts a settled particle this run (is
 // at capacity, for the capacity processes).
+// The sparse paths live in their own functions so that this check and
+// occupy stay within the inlining budget on the dense hot path.
 func (s *Scratch) occupied(v int32) bool {
 	if s.sparse {
-		return s.table.get(v)&sparseFull != 0
+		return s.table.full(v)
 	}
 	return s.occ[v] == s.epoch
 }
@@ -126,7 +128,7 @@ func (s *Scratch) occupied(v int32) bool {
 // capacity, for the capacity processes).
 func (s *Scratch) occupy(v int32) {
 	if s.sparse {
-		s.table.set(v, s.table.get(v)|sparseFull)
+		s.table.fill(v)
 		return
 	}
 	s.occ[v] = s.epoch

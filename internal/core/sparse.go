@@ -103,6 +103,12 @@ func (t *sparseTable) set(v int32, val int32) {
 	t.vals[i] = val
 }
 
+// full reports whether v carries the sparseFull flag.
+func (t *sparseTable) full(v int32) bool { return t.get(v)&sparseFull != 0 }
+
+// fill sets v's sparseFull flag, keeping its count.
+func (t *sparseTable) fill(v int32) { t.set(v, t.get(v)|sparseFull) }
+
 // walkUntilVacant runs one particle's settlement walk from v under the
 // scratch's occupancy backend: the kernel's fused WalkUntilVacant against
 // the dense epoch map, or — in sparse mode — the explicit Step loop that

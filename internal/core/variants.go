@@ -57,10 +57,14 @@ func (o *Options) thresholdParam(n int) (int64, error) {
 // vertex.
 type settleLaw struct {
 	variant LaneVariant
-	rule    SettleRule // LaneStandard: Options.Rule; nil settles at once
-	q       float64    // LaneGeom: per-visit acceptance probability
-	T       int64      // LaneThreshold: first step a particle may settle on
-	plan    capPlan    // LaneCapacity: per-vertex capacities
+	// open marks a law that settles a particle on every vacant standing
+	// (the standard rule without a veto, and capacity), so the hot loop
+	// skips the call to owed.
+	open bool
+	rule SettleRule // LaneStandard: Options.Rule; nil settles at once
+	q    float64    // LaneGeom: per-visit acceptance probability
+	T    int64      // LaneThreshold: first step a particle may settle on
+	plan capPlan    // LaneCapacity: per-vertex capacities
 }
 
 // settleLaw resolves the particle count of a run on n vertices and the
@@ -70,7 +74,7 @@ func (o *Options) settleLaw(n int, variant LaneVariant) (k int, law settleLaw, e
 	switch variant {
 	case LaneStandard:
 		k, err = o.numParticles(n)
-		law.rule = o.Rule
+		law.rule, law.open = o.Rule, o.Rule == nil
 	case LaneGeom:
 		if k, err = o.numParticles(n); err == nil {
 			law.q, err = o.geomParam()
@@ -80,6 +84,7 @@ func (o *Options) settleLaw(n int, variant LaneVariant) (k int, law settleLaw, e
 			law.T, err = o.thresholdParam(n)
 		}
 	case LaneCapacity:
+		law.open = true
 		if law.plan, err = o.capacityPlan(n); err == nil {
 			k, err = o.numParticlesCap(n, law.plan)
 		}
@@ -91,17 +96,26 @@ func (o *Options) settleLaw(n int, variant LaneVariant) (k int, law settleLaw, e
 	return k, law, err
 }
 
-// settles reports whether a particle that has taken steps steps settles on
-// the vacant vertex v. Only the geometric law draws randomness: one coin
-// per vacant standing.
-func (l *settleLaw) settles(v int32, steps int64, r *rng.Source) bool {
+// owed returns the number of forced moves a particle standing on the
+// vacant vertex v after steps steps takes before it walks on; zero settles
+// it on v. Only the geometric law draws randomness: one coin per vacant
+// standing. The threshold law owes all the moves left below T at once: no
+// standing before step T can end the walk, so one step loop over them
+// draws exactly what one forced move per vacant standing would.
+func (l *settleLaw) owed(v int32, steps int64, r *rng.Source) int64 {
 	switch l.variant {
 	case LaneGeom:
-		return r.Float64() < l.q
+		if r.Float64() < l.q {
+			return 0
+		}
+		return 1
 	case LaneThreshold:
-		return steps >= l.T
+		return max(l.T-steps, 0)
 	}
-	return l.rule == nil || l.rule(v, steps)
+	if l.rule == nil || l.rule(v, steps) {
+		return 0
+	}
+	return 1
 }
 
 // occupy settles one particle on v. The capacity law counts it and marks v
