@@ -12,7 +12,6 @@ import (
 
 	"dispersion"
 	"dispersion/agg"
-	"dispersion/internal/bench"
 	"dispersion/internal/benchsuite"
 	"dispersion/internal/block"
 	"dispersion/internal/core"
@@ -23,82 +22,55 @@ import (
 	"dispersion/internal/walk"
 )
 
-// benchDispersion runs one process realization per iteration and reports
-// steps/op via the returned dispersion metric.
-func benchDispersion(b *testing.B, g *graph.CSR, origin int, p bench.Process, opt core.Options) {
+// benchDispersion runs one realization of the process into per iteration.
+func benchDispersion[R core.Result | core.CTResult](b *testing.B, g *graph.CSR, origin int,
+	into func(graph.Graph, int, core.Options, *rng.Source, *core.Scratch, *R) error, opt core.Options) {
 	b.Helper()
 	r := rng.New(uint64(b.N)) // distinct stream per sizing pass
 	b.ResetTimer()
-	var sink float64
 	for i := 0; i < b.N; i++ {
-		switch p {
-		case bench.Seq:
-			res, err := core.Sequential(g, origin, opt, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sink += float64(res.Dispersion)
-		case bench.Par:
-			res, err := core.Parallel(g, origin, opt, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sink += float64(res.Dispersion)
-		case bench.Unif:
-			res, err := core.Uniform(g, origin, opt, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sink += float64(res.Dispersion)
-		case bench.CTUnifTime:
-			res, err := core.CTUniform(g, origin, opt, r)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sink += res.Time
+		if _, err := core.Run(into, g, origin, opt, r); err != nil {
+			b.Fatal(err)
 		}
-	}
-	if sink < 0 {
-		b.Fatal("impossible")
 	}
 }
 
 // --- Table 1 rows (experiments E01-E09) ---
 
 func BenchmarkTable1CliqueSeq(b *testing.B) {
-	benchDispersion(b, graph.Complete(512), 0, bench.Seq, core.Options{})
+	benchDispersion(b, graph.Complete(512), 0, core.SequentialInto, core.Options{})
 }
 
 func BenchmarkTable1CliquePar(b *testing.B) {
-	benchDispersion(b, graph.Complete(512), 0, bench.Par, core.Options{})
+	benchDispersion(b, graph.Complete(512), 0, core.ParallelInto, core.Options{})
 }
 
 func BenchmarkTable1PathSeq(b *testing.B) {
-	benchDispersion(b, graph.Path(128), 0, bench.Seq, core.Options{})
+	benchDispersion(b, graph.Path(128), 0, core.SequentialInto, core.Options{})
 }
 
 func BenchmarkTable1PathPar(b *testing.B) {
-	benchDispersion(b, graph.Path(128), 0, bench.Par, core.Options{})
+	benchDispersion(b, graph.Path(128), 0, core.ParallelInto, core.Options{})
 }
 
 func BenchmarkTable1CycleSeq(b *testing.B) {
-	benchDispersion(b, graph.Cycle(128), 0, bench.Seq, core.Options{})
+	benchDispersion(b, graph.Cycle(128), 0, core.SequentialInto, core.Options{})
 }
 
 func BenchmarkTable1Grid2DSeq(b *testing.B) {
-	benchDispersion(b, graph.Grid([]int{16, 16}, true), 0, bench.Seq, core.Options{})
+	benchDispersion(b, graph.Grid([]int{16, 16}, true), 0, core.SequentialInto, core.Options{})
 }
 
 func BenchmarkTable1Grid3DSeq(b *testing.B) {
-	benchDispersion(b, graph.Grid([]int{8, 8, 8}, true), 0, bench.Seq, core.Options{})
+	benchDispersion(b, graph.Grid([]int{8, 8, 8}, true), 0, core.SequentialInto, core.Options{})
 }
 
 func BenchmarkTable1HypercubeSeq(b *testing.B) {
-	benchDispersion(b, graph.Hypercube(9), 0, bench.Seq, core.Options{})
+	benchDispersion(b, graph.Hypercube(9), 0, core.SequentialInto, core.Options{})
 }
 
 func BenchmarkTable1BinaryTreeSeq(b *testing.B) {
-	benchDispersion(b, graph.CompleteBinaryTree(9), 0, bench.Seq, core.Options{})
+	benchDispersion(b, graph.CompleteBinaryTree(9), 0, core.SequentialInto, core.Options{})
 }
 
 func BenchmarkTable1ExpanderSeq(b *testing.B) {
@@ -106,11 +78,11 @@ func BenchmarkTable1ExpanderSeq(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	benchDispersion(b, g, 0, bench.Seq, core.Options{})
+	benchDispersion(b, g, 0, core.SequentialInto, core.Options{})
 }
 
 func BenchmarkLollipopSeq(b *testing.B) {
-	benchDispersion(b, graph.Lollipop(32), 0, bench.Seq, core.Options{})
+	benchDispersion(b, graph.Lollipop(32), 0, core.SequentialInto, core.Options{})
 }
 
 // --- Coupling experiments (E10-E19) ---
@@ -121,25 +93,25 @@ func BenchmarkDomination(b *testing.B) {
 	r := rng.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Sequential(g, 0, core.Options{}, r); err != nil {
+		if _, err := core.Run(core.SequentialInto, g, 0, core.Options{}, r); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := core.Parallel(g, 0, core.Options{}, r); err != nil {
+		if _, err := core.Run(core.ParallelInto, g, 0, core.Options{}, r); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkLazyFactor(b *testing.B) {
-	benchDispersion(b, graph.Cycle(64), 0, bench.Seq, core.Options{Lazy: true})
+	benchDispersion(b, graph.Cycle(64), 0, core.SequentialInto, core.Options{Lazy: true})
 }
 
 func BenchmarkCTUvsParallel(b *testing.B) {
-	benchDispersion(b, graph.Complete(256), 0, bench.CTUnifTime, core.Options{})
+	benchDispersion(b, graph.Complete(256), 0, core.CTUniformInto, core.Options{})
 }
 
 func BenchmarkConcentrationGadgets(b *testing.B) {
-	benchDispersion(b, graph.CliqueWithHair(96), 0, bench.Par, core.Options{})
+	benchDispersion(b, graph.CliqueWithHair(96), 0, core.ParallelInto, core.Options{})
 }
 
 func BenchmarkHittingGap(b *testing.B) {
@@ -157,7 +129,7 @@ func BenchmarkLeastAction(b *testing.B) {
 	n := 96
 	tip := int32(graph.HairTip(n))
 	rule := func(v int32, step int64) bool { return v == tip || step >= 1500 }
-	benchDispersion(b, graph.CliqueWithHair(n), 0, bench.Seq, core.Options{Rule: rule})
+	benchDispersion(b, graph.CliqueWithHair(n), 0, core.SequentialInto, core.Options{Rule: rule})
 }
 
 func BenchmarkUpperBounds(b *testing.B) {
@@ -176,7 +148,7 @@ func BenchmarkUpperBounds(b *testing.B) {
 }
 
 func BenchmarkTreeLowerBound(b *testing.B) {
-	benchDispersion(b, graph.Star(256), 0, bench.Seq, core.Options{})
+	benchDispersion(b, graph.Star(256), 0, core.SequentialInto, core.Options{})
 }
 
 func BenchmarkCutPaste(b *testing.B) {
@@ -185,7 +157,7 @@ func BenchmarkCutPaste(b *testing.B) {
 	r := rng.New(3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := core.Sequential(g, 0, core.Options{Record: true}, r)
+		res, err := core.Run(core.SequentialInto, g, 0, core.Options{Record: true}, r)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,7 +175,7 @@ func BenchmarkCutPaste(b *testing.B) {
 }
 
 func BenchmarkUniform(b *testing.B) {
-	benchDispersion(b, graph.Complete(128), 0, bench.Unif, core.Options{})
+	benchDispersion(b, graph.Complete(128), 0, core.UniformInto, core.Options{})
 }
 
 // --- Ablations (DESIGN.md "key design decisions") ---
@@ -405,7 +377,7 @@ func BenchmarkSummaryMerge(b *testing.B) {
 // against a Poissonised round-based approximation (each round, every
 // unsettled particle moves Poisson(1) times in index order).
 func BenchmarkCTUHeap(b *testing.B) {
-	benchDispersion(b, graph.Complete(256), 0, bench.CTUnifTime, core.Options{})
+	benchDispersion(b, graph.Complete(256), 0, core.CTUniformInto, core.Options{})
 }
 
 func BenchmarkCTURoundApprox(b *testing.B) {

@@ -7,9 +7,9 @@ import (
 	"testing"
 
 	"dispersion"
-	"dispersion/internal/bench"
 	"dispersion/internal/core"
 	"dispersion/internal/graph"
+	"dispersion/internal/rng"
 )
 
 // collect gathers every trial result of a job, asserting in-order
@@ -53,21 +53,79 @@ func TestEngineWorkerCountInvariance(t *testing.T) {
 	}
 }
 
-// TestEngineMatchesLegacyHarness pins the engine's trial streams to the
-// internal bench sampler's: same (seed, experiment) must yield the same
-// sample vector the pre-facade harness produced.
-func TestEngineMatchesLegacyHarness(t *testing.T) {
-	g := graph.Complete(48)
-	const trials, seed, exp = 60, 9, 77
-	want := bench.SampleDispersion(g, 0, bench.Par, core.Options{}, trials, seed, exp)
-	got, err := dispersion.Engine{Seed: seed, Experiment: exp}.Sample(
-		context.Background(),
-		dispersion.Job{Process: "parallel", Graph: g, Trials: trials})
-	if err != nil {
-		t.Fatal(err)
+// TestEngineMatchesDirectLoop pins the engine's trial streams to a direct
+// loop: trial i of (seed, experiment) runs the process's *Into function on
+// rng.New(seed).Split(experiment, i). It covers Sample and TotalSteps for
+// every process and option the experiment harness samples with.
+func TestEngineMatchesDirectLoop(t *testing.T) {
+	g := graph.Complete(24)
+	const trials, seed, exp = 30, 9, 77
+	// direct runs one trial and returns its makespan and total steps.
+	type direct func(opt core.Options, r *rng.Source) (float64, float64, error)
+	discrete := func(into func(graph.Graph, int, core.Options, *rng.Source, *core.Scratch, *core.Result) error) direct {
+		return func(opt core.Options, r *rng.Source) (float64, float64, error) {
+			res, err := core.Run(into, g, 0, opt, r)
+			if err != nil {
+				return 0, 0, err
+			}
+			return float64(res.Dispersion), float64(res.TotalSteps), nil
+		}
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("engine sample differs from legacy bench.SampleDispersion")
+	processes := []struct {
+		name string
+		run  direct
+	}{
+		{"sequential", discrete(core.SequentialInto)},
+		{"parallel", discrete(core.ParallelInto)},
+		{"uniform", discrete(core.UniformInto)},
+		{"ct-uniform", func(opt core.Options, r *rng.Source) (float64, float64, error) {
+			res, err := core.Run(core.CTUniformInto, g, 0, opt, r)
+			if err != nil {
+				return 0, 0, err
+			}
+			return res.Time, float64(res.TotalSteps), nil
+		}},
+	}
+	rule := func(v int32, step int64) bool { return step >= 3 || v%2 == 0 }
+	optionSets := []struct {
+		name string
+		opts []dispersion.Option
+		opt  core.Options
+	}{
+		{"plain", nil, core.Options{}},
+		{"lazy", []dispersion.Option{dispersion.WithLazy()}, core.Options{Lazy: true}},
+		{"particles", []dispersion.Option{dispersion.WithParticles(12)}, core.Options{Particles: 12}},
+		{"random-origins", []dispersion.Option{dispersion.WithRandomOrigins()}, core.Options{RandomOrigins: true}},
+		{"settle-rule", []dispersion.Option{dispersion.WithSettleRule(rule)}, core.Options{Rule: rule}},
+	}
+	eng := dispersion.Engine{Seed: seed, Experiment: exp}
+	for _, p := range processes {
+		for _, o := range optionSets {
+			wantSpan := make([]float64, trials)
+			wantSteps := make([]float64, trials)
+			for i := range trials {
+				var err error
+				wantSpan[i], wantSteps[i], err = p.run(o.opt, rng.New(seed).Split(exp, uint64(i)))
+				if err != nil {
+					t.Fatalf("%s/%s: %v", p.name, o.name, err)
+				}
+			}
+			job := dispersion.Job{Process: p.name, Graph: g, Trials: trials, Options: o.opts}
+			span, err := eng.Sample(context.Background(), job)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", p.name, o.name, err)
+			}
+			steps, err := eng.TotalSteps(context.Background(), job)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", p.name, o.name, err)
+			}
+			if !reflect.DeepEqual(span, wantSpan) {
+				t.Errorf("%s/%s: Engine.Sample differs from the direct loop", p.name, o.name)
+			}
+			if !reflect.DeepEqual(steps, wantSteps) {
+				t.Errorf("%s/%s: Engine.TotalSteps differs from the direct loop", p.name, o.name)
+			}
+		}
 	}
 }
 

@@ -15,16 +15,16 @@ import (
 // wrapper.
 type coreRunner func(g graph.Graph, origin int, opt core.Options, r *rng.Source) (*core.Result, *core.CTResult, error)
 
-func discreteRunner(f func(graph.Graph, int, core.Options, *rng.Source) (*core.Result, error)) coreRunner {
+func discreteRunner(f func(graph.Graph, int, core.Options, *rng.Source, *core.Scratch, *core.Result) error) coreRunner {
 	return func(g graph.Graph, origin int, opt core.Options, r *rng.Source) (*core.Result, *core.CTResult, error) {
-		res, err := f(g, origin, opt, r)
+		res, err := core.Run(f, g, origin, opt, r)
 		return res, nil, err
 	}
 }
 
-func ctRunner(f func(graph.Graph, int, core.Options, *rng.Source) (*core.CTResult, error)) coreRunner {
+func ctRunner(f func(graph.Graph, int, core.Options, *rng.Source, *core.Scratch, *core.CTResult) error) coreRunner {
 	return func(g graph.Graph, origin int, opt core.Options, r *rng.Source) (*core.Result, *core.CTResult, error) {
-		res, err := f(g, origin, opt, r)
+		res, err := core.Run(f, g, origin, opt, r)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -45,16 +45,16 @@ func TestFacadeMatchesCore(t *testing.T) {
 		opt  core.Options // the forced part of the variant (laziness)
 		run  coreRunner
 	}{
-		{"sequential", core.Options{}, discreteRunner(core.Sequential)},
-		{"parallel", core.Options{}, discreteRunner(core.Parallel)},
-		{"uniform", core.Options{}, discreteRunner(core.Uniform)},
-		{"ct-uniform", core.Options{}, ctRunner(core.CTUniform)},
-		{"ct-sequential", core.Options{}, ctRunner(core.CTSequential)},
-		{"lazy-sequential", core.Options{Lazy: true}, discreteRunner(core.Sequential)},
-		{"lazy-parallel", core.Options{Lazy: true}, discreteRunner(core.Parallel)},
-		{"lazy-uniform", core.Options{Lazy: true}, discreteRunner(core.Uniform)},
-		{"lazy-ct-uniform", core.Options{Lazy: true}, ctRunner(core.CTUniform)},
-		{"lazy-ct-sequential", core.Options{Lazy: true}, ctRunner(core.CTSequential)},
+		{"sequential", core.Options{}, discreteRunner(core.SequentialInto)},
+		{"parallel", core.Options{}, discreteRunner(core.ParallelInto)},
+		{"uniform", core.Options{}, discreteRunner(core.UniformInto)},
+		{"ct-uniform", core.Options{}, ctRunner(core.CTUniformInto)},
+		{"ct-sequential", core.Options{}, ctRunner(core.CTSequentialInto)},
+		{"lazy-sequential", core.Options{Lazy: true}, discreteRunner(core.SequentialInto)},
+		{"lazy-parallel", core.Options{Lazy: true}, discreteRunner(core.ParallelInto)},
+		{"lazy-uniform", core.Options{Lazy: true}, discreteRunner(core.UniformInto)},
+		{"lazy-ct-uniform", core.Options{Lazy: true}, ctRunner(core.CTUniformInto)},
+		{"lazy-ct-sequential", core.Options{Lazy: true}, ctRunner(core.CTSequentialInto)},
 	}
 	optionSets := []struct {
 		name  string

@@ -1,7 +1,9 @@
 // Package bench is the experiment harness: it contains one registered
 // experiment per table row / quantitative claim of the paper (the
-// experiment index in DESIGN.md), renders measured-vs-paper comparison
-// tables, and exposes the samplers the testing.B benchmarks reuse. Every
+// experiment index in DESIGN.md) and renders measured-vs-paper comparison
+// tables. Its samplers (SampleDispersion, SampleTotalSteps, MeanDispersion)
+// run every process by registry name through dispersion.Engine, the same
+// trial loop the server, the shard coordinator and perfbench run. Every
 // experiment is deterministic given (seed, scale).
 package bench
 

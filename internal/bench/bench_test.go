@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"dispersion/internal/core"
 	"dispersion/internal/graph"
 )
 
@@ -138,14 +137,14 @@ func TestScaled(t *testing.T) {
 
 func TestSamplersDeterministic(t *testing.T) {
 	g := graph.Complete(16)
-	a := SampleDispersion(g, 0, Seq, core.Options{}, 16, 7, 9)
-	b := SampleDispersion(g, 0, Seq, core.Options{}, 16, 7, 9)
+	a := SampleDispersion(g, 0, "sequential", 16, 7, 9)
+	b := SampleDispersion(g, 0, "sequential", 16, 7, 9)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("sampler not deterministic at %d", i)
 		}
 	}
-	c := SampleDispersion(g, 0, Seq, core.Options{}, 16, 7, 10)
+	c := SampleDispersion(g, 0, "sequential", 16, 7, 10)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -154,14 +153,6 @@ func TestSamplersDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different experiment IDs produced identical samples")
-	}
-}
-
-func TestProcessString(t *testing.T) {
-	for _, p := range []Process{Seq, Par, Unif, CTUnifTime, CTSeqTime} {
-		if p.String() == "" || strings.HasPrefix(p.String(), "process(") {
-			t.Errorf("process %d has no name", int(p))
-		}
 	}
 }
 

@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"dispersion/internal/core"
 	"dispersion/internal/exact"
 	"dispersion/internal/graph"
 	"dispersion/internal/stats"
@@ -40,8 +39,8 @@ func runExactGroundTruth(cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("bench: exact horizon too short on %s", g.Name())
 		}
 		base := uint64(0x2400 + gi*4)
-		seqSim := stats.Summarize(SampleDispersion(g, 0, Seq, core.Options{}, trials, cfg.Seed, base))
-		parSim := stats.Summarize(SampleDispersion(g, 0, Par, core.Options{}, trials, cfg.Seed, base+1))
+		seqSim := stats.Summarize(SampleDispersion(g, 0, "sequential", trials, cfg.Seed, base))
+		parSim := stats.Summarize(SampleDispersion(g, 0, "parallel", trials, cfg.Seed, base+1))
 
 		// Pointwise CDF domination, zero Monte-Carlo error.
 		sc := es.DispersionCDF(T)

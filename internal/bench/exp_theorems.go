@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"math"
 
+	"dispersion"
 	"dispersion/internal/block"
 	"dispersion/internal/bounds"
-	"dispersion/internal/core"
 	"dispersion/internal/graph"
 	"dispersion/internal/markov"
 	"dispersion/internal/rng"
 	"dispersion/internal/stats"
-	"dispersion/internal/walk"
 )
 
 func init() {
@@ -95,12 +94,12 @@ func runDomination(cfg Config) (*Report, error) {
 	var lastP float64
 	for gi, g := range graphs {
 		base := uint64(0x1000 + gi*16)
-		seq := SampleDispersion(g, 0, Seq, core.Options{}, trials, cfg.Seed, base)
-		par := SampleDispersion(g, 0, Par, core.Options{}, trials, cfg.Seed, base+1)
+		seq := SampleDispersion(g, 0, "sequential", trials, cfg.Seed, base)
+		par := SampleDispersion(g, 0, "parallel", trials, cfg.Seed, base+1)
 		dom := stats.NewECDF(seq).DominatedBy(stats.NewECDF(par), 3/math.Sqrt(float64(trials)))
 		_, mwP := stats.MannWhitneyU(seq, par)
-		seqTot := SampleTotalSteps(g, 0, Seq, core.Options{}, trials, cfg.Seed, base+2)
-		parTot := SampleTotalSteps(g, 0, Par, core.Options{}, trials, cfg.Seed, base+3)
+		seqTot := SampleTotalSteps(g, 0, "sequential", trials, cfg.Seed, base+2)
+		parTot := SampleTotalSteps(g, 0, "parallel", trials, cfg.Seed, base+3)
 		p := stats.KSPValue(stats.KSStatistic(seqTot, parTot), trials, trials)
 		lastP = p
 		same := p > 0.01
@@ -125,20 +124,20 @@ func runLazyFactor(cfg Config) (*Report, error) {
 	trials := cfg.scaled(200, 100)
 	type job struct {
 		g *graph.CSR
-		p Process
+		p string
 	}
 	jobs := []job{
-		{graph.Cycle(48), Seq}, {graph.Cycle(48), Par},
-		{graph.Complete(96), Seq}, {graph.Complete(96), Par},
+		{graph.Cycle(48), "sequential"}, {graph.Cycle(48), "parallel"},
+		{graph.Complete(96), "sequential"}, {graph.Complete(96), "parallel"},
 	}
 	pass := true
 	var worst float64 = 2
 	for ji, j := range jobs {
 		base := uint64(0x1100 + ji*4)
-		plain := MeanDispersion(j.g, 0, j.p, core.Options{}, trials, cfg.Seed, base)
-		lazy := MeanDispersion(j.g, 0, j.p, core.Options{Lazy: true}, trials, cfg.Seed, base+1)
+		plain := MeanDispersion(j.g, 0, j.p, trials, cfg.Seed, base)
+		lazy := MeanDispersion(j.g, 0, j.p, trials, cfg.Seed, base+1, dispersion.WithLazy())
 		ratio := lazy.Mean / plain.Mean
-		tbl.AddRow(j.g.Name(), j.p.String(), fm(plain.Mean), fm(lazy.Mean), fm(ratio))
+		tbl.AddRow(j.g.Name(), j.p, fm(plain.Mean), fm(lazy.Mean), fm(ratio))
 		// The dispersion time has Θ(n)-wide fluctuations (the last
 		// settlement is geometric), so finite-trial ratios wobble.
 		if ratio < 1.6 || ratio > 2.4 {
@@ -164,8 +163,8 @@ func runCTU(cfg Config) (*Report, error) {
 	var lastRatio float64
 	for gi, g := range graphs {
 		base := uint64(0x1200 + gi*4)
-		par := MeanDispersion(g, 0, Par, core.Options{}, trials, cfg.Seed, base)
-		ctu := MeanDispersion(g, 0, CTUnifTime, core.Options{}, trials, cfg.Seed, base+1)
+		par := MeanDispersion(g, 0, "parallel", trials, cfg.Seed, base)
+		ctu := MeanDispersion(g, 0, "ct-uniform", trials, cfg.Seed, base+1)
 		lastRatio = ctu.Mean / par.Mean
 		tbl.AddRow(g.Name(), fm(par.Mean), fm(ctu.Mean), fm(lastRatio))
 		if lastRatio < 0.8 || lastRatio > 1.25 {
@@ -186,7 +185,7 @@ func runConcentration(cfg Config) (*Report, error) {
 	tbl := &Table{Columns: []string{"graph", "median", "mean", "P[D <= 20n]", "P[D >= n²/8]"}}
 
 	g1 := graph.CliqueWithHair(n)
-	d1 := SampleDispersion(g1, 0, Par, core.Options{}, trials, cfg.Seed, 0x1301)
+	d1 := SampleDispersion(g1, 0, "parallel", trials, cfg.Seed, 0x1301)
 	s1 := stats.Summarize(d1)
 	fracSmall := stats.Fraction(d1, func(x float64) bool { return x <= 20*float64(n) })
 	fracBig1 := stats.Fraction(d1, func(x float64) bool { return x >= float64(n*n)/8 })
@@ -194,7 +193,7 @@ func runConcentration(cfg Config) (*Report, error) {
 
 	h := int(float64(n) / math.Log(float64(n)))
 	g2 := graph.CliqueWithHairOnPimple(n, h)
-	d2 := SampleDispersion(g2, graph.PimpleVertex(n), Par, core.Options{}, trials, cfg.Seed, 0x1302)
+	d2 := SampleDispersion(g2, graph.PimpleVertex(n), "parallel", trials, cfg.Seed, 0x1302)
 	s2 := stats.Summarize(d2)
 	fracSmall2 := stats.Fraction(d2, func(x float64) bool { return x <= 20*float64(n) })
 	fracBig2 := stats.Fraction(d2, func(x float64) bool { return x >= float64(n*n)/8 })
@@ -239,7 +238,7 @@ func runHittingGap(cfg Config) (*Report, error) {
 				thit = h
 			}
 		}
-		seq := MeanDispersion(g, 0, Seq, core.Options{}, trials, cfg.Seed, uint64(0x1400+lv))
+		seq := MeanDispersion(g, 0, "sequential", trials, cfg.Seed, uint64(0x1400+lv))
 		ratio := thit / seq.Mean
 		ratios = append(ratios, ratio)
 		tbl.AddRow(fmt.Sprint(n), fmt.Sprint(k), fm(thit), fm(seq.Mean), fm(ratio))
@@ -265,8 +264,8 @@ func runLeastAction(cfg Config) (*Report, error) {
 		return v == tip || step >= threshold
 	}
 	trials := cfg.scaled(400, 100)
-	std := MeanDispersion(g, 0, Seq, core.Options{}, trials, cfg.Seed, 0x1501)
-	mod := MeanDispersion(g, 0, Seq, core.Options{Rule: rule}, trials, cfg.Seed, 0x1502)
+	std := MeanDispersion(g, 0, "sequential", trials, cfg.Seed, 0x1501)
+	mod := MeanDispersion(g, 0, "sequential", trials, cfg.Seed, 0x1502, dispersion.WithSettleRule(rule))
 	tbl := &Table{Columns: []string{"rule", "E[τ_seq]", "±"}}
 	tbl.AddRow("standard (settle immediately)", fm(std.Mean), fm(std.StdErr))
 	tbl.AddRow("ρ̃ (hold out for the hair)", fm(mod.Mean), fm(mod.StdErr))
@@ -295,7 +294,7 @@ func runUpperBounds(cfg Config) (*Report, error) {
 		}
 		thit, _, _ := h.Max()
 		bound := bounds.Theorem31(thit, g.N())
-		xs := SampleDispersion(g, 0, Par, core.Options{}, trials, cfg.Seed, uint64(0x1600+gi))
+		xs := SampleDispersion(g, 0, "parallel", trials, cfg.Seed, uint64(0x1600+gi))
 		worst := stats.Summarize(xs).Max
 		tbl.AddRow(g.Name(), fm(thit), fm(bound), fm(worst), fm(bound/worst))
 		if worst > bound {
@@ -322,7 +321,7 @@ func runTreeBounds(cfg Config) (*Report, error) {
 
 	n := 256
 	star := graph.Star(n)
-	s := MeanDispersion(star, 0, Seq, core.Options{}, trials, cfg.Seed, 0x1701)
+	s := MeanDispersion(star, 0, "sequential", trials, cfg.Seed, 0x1701)
 	tbl.AddRow("star", fmt.Sprint(n), fm(s.Mean), fm(bounds.TreeLower(n)), fm(s.Mean/float64(n)))
 	twoKcc := 2 * bounds.KappaCC()
 	if !within(s.Mean/float64(n), twoKcc, 0.12) {
@@ -332,7 +331,7 @@ func runTreeBounds(cfg Config) (*Report, error) {
 	r := rng.New(cfg.Seed ^ 0x1702)
 	for i := 0; i < 3; i++ {
 		rt := graph.RandomTree(64, r)
-		rs := MeanDispersion(rt, 0, Seq, core.Options{}, trials, cfg.Seed, uint64(0x1710+i))
+		rs := MeanDispersion(rt, 0, "sequential", trials, cfg.Seed, uint64(0x1710+i))
 		tbl.AddRow(fmt.Sprintf("random tree %d", i), "64", fm(rs.Mean), fm(bounds.TreeLower(64)), fm(rs.Mean/64))
 		if rs.Mean < bounds.TreeLower(64)*0.95 {
 			pass = false
@@ -349,16 +348,14 @@ func runTreeBounds(cfg Config) (*Report, error) {
 func runCutPaste(cfg Config) (*Report, error) {
 	trials := cfg.scaled(200, 50)
 	g := graph.Complete(32)
-	rn := walk.NewRunner(cfg.Seed, 0x1801)
 	type outcome struct {
 		roundTrip, lengthKept, dominates bool
 		ratio                            float64
 	}
-	outcomes := make([]outcome, trials)
-	xs := rn.Run(trials, func(i int, r *rng.Source) float64 {
-		res, err := core.Sequential(g, 0, core.Options{Record: true}, r)
-		must(err)
-		b, err := block.FromResult(res)
+	outcomes := make([]outcome, 0, trials)
+	xs := make([]float64, 0, trials)
+	eachTrial(g, 0, "sequential", trials, cfg.Seed, 0x1801, func(res *dispersion.Result) {
+		b, err := block.FromTrajectories(res.Trajectories)
 		must(err)
 		orig := b.Clone()
 		must(b.StP())
@@ -369,9 +366,9 @@ func runCutPaste(cfg Config) (*Report, error) {
 		}
 		must(b.PtS())
 		o.roundTrip = b.Equal(orig)
-		outcomes[i] = o
-		return o.ratio
-	})
+		outcomes = append(outcomes, o)
+		xs = append(xs, o.ratio)
+	}, dispersion.WithRecord())
 	allRT, allLen, allDom := true, true, true
 	for _, o := range outcomes {
 		allRT = allRT && o.roundTrip
@@ -403,8 +400,8 @@ func runUniformDomination(cfg Config) (*Report, error) {
 	pass := true
 	for gi, g := range []*graph.CSR{graph.Complete(64), graph.Cycle(24)} {
 		base := uint64(0x1900 + gi*4)
-		u := SampleDispersion(g, 0, Unif, core.Options{}, trials, cfg.Seed, base)
-		p := SampleDispersion(g, 0, Par, core.Options{}, trials, cfg.Seed, base+1)
+		u := SampleDispersion(g, 0, "uniform", trials, cfg.Seed, base)
+		p := SampleDispersion(g, 0, "parallel", trials, cfg.Seed, base+1)
 		dom := stats.NewECDF(u).DominatedBy(stats.NewECDF(p), 3/math.Sqrt(float64(trials)))
 		tbl.AddRow(g.Name(), fm(stats.Summarize(u).Mean), fm(stats.Summarize(p).Mean), fmt.Sprint(dom))
 		if !dom {

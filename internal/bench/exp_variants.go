@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"dispersion/internal/core"
+	"dispersion"
 	"dispersion/internal/graph"
 )
 
@@ -33,8 +33,8 @@ func runVariants(cfg Config) (*Report, error) {
 		var byK []float64
 		var lastErr float64
 		for ki, k := range []int{n / 4, n / 2, n} {
-			s := MeanDispersion(g, 0, Par, core.Options{Particles: k}, trials,
-				cfg.Seed, uint64(0x2200+gi*16+ki))
+			s := MeanDispersion(g, 0, "parallel", trials,
+				cfg.Seed, uint64(0x2200+gi*16+ki), dispersion.WithParticles(k))
 			byK = append(byK, s.Mean)
 			lastErr = s.StdErr
 			tbl.AddRow(g.Name(), fmt.Sprintf("k=%d", k), fm(s.Mean), fm(s.StdErr))
@@ -45,8 +45,8 @@ func runVariants(cfg Config) (*Report, error) {
 				pass = false
 			}
 		}
-		rnd := MeanDispersion(g, 0, Par, core.Options{RandomOrigins: true}, trials,
-			cfg.Seed, uint64(0x2280+gi))
+		rnd := MeanDispersion(g, 0, "parallel", trials,
+			cfg.Seed, uint64(0x2280+gi), dispersion.WithRandomOrigins())
 		tbl.AddRow(g.Name(), "random origins", fm(rnd.Mean), fm(rnd.StdErr))
 		// Spreading origins must not be slower than the common origin.
 		// On the complete graph the two are equal in distribution up to
@@ -77,8 +77,8 @@ func runConjectures(cfg Config) (*Report, error) {
 	maxRatio := 0.0
 	for gi, g := range graphs {
 		base := uint64(0x2300 + gi*8)
-		seq := MeanDispersion(g, 0, Seq, core.Options{}, trials, cfg.Seed, base)
-		par := MeanDispersion(g, 0, Par, core.Options{}, trials, cfg.Seed, base+1)
+		seq := MeanDispersion(g, 0, "sequential", trials, cfg.Seed, base)
+		par := MeanDispersion(g, 0, "parallel", trials, cfg.Seed, base+1)
 		cov := SampleCoverTime(g, 0, coverTrials, cfg.Seed, base+2)
 		gap := par.Mean - seq.Mean
 		ratio := par.Mean / seq.Mean

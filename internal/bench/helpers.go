@@ -1,105 +1,62 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
-	"dispersion/internal/core"
+	"dispersion"
 	"dispersion/internal/graph"
 	"dispersion/internal/rng"
 	"dispersion/internal/stats"
 	"dispersion/internal/walk"
 )
 
-// Process selects one of the dispersion-process variants for sampling.
-type Process int
-
-// Process variants.
-const (
-	Seq Process = iota
-	Par
-	Unif
-	CTUnifTime // continuous-time uniform, real-time dispersion
-	CTSeqTime  // continuous-time sequential, real-time dispersion
-)
-
-// String names the process for table output.
-func (p Process) String() string {
-	switch p {
-	case Seq:
-		return "sequential"
-	case Par:
-		return "parallel"
-	case Unif:
-		return "uniform"
-	case CTUnifTime:
-		return "ct-uniform"
-	case CTSeqTime:
-		return "ct-sequential"
-	}
-	return fmt.Sprintf("process(%d)", int(p))
-}
-
-// SampleDispersion runs `trials` independent realizations of the chosen
-// process and returns the dispersion times (real time for the
-// continuous-time variants). Trials run across all cores but are
+// SampleDispersion runs trials independent realizations of the registered
+// process (e.g. "sequential", "ct-uniform") through dispersion.Engine and
+// returns each trial's dispersion time on its natural scale: real time
+// for the continuous-time processes. Trials run across all cores but are
 // deterministic in (seed, expID, trial).
-func SampleDispersion(g *graph.CSR, origin int, p Process, opt core.Options,
-	trials int, seed, expID uint64) []float64 {
-	rn := walk.NewRunner(seed, expID)
-	return rn.Run(trials, func(_ int, r *rng.Source) float64 {
-		switch p {
-		case Seq:
-			res, err := core.Sequential(g, origin, opt, r)
-			must(err)
-			return float64(res.Dispersion)
-		case Par:
-			res, err := core.Parallel(g, origin, opt, r)
-			must(err)
-			return float64(res.Dispersion)
-		case Unif:
-			res, err := core.Uniform(g, origin, opt, r)
-			must(err)
-			return float64(res.Dispersion)
-		case CTUnifTime:
-			res, err := core.CTUniform(g, origin, opt, r)
-			must(err)
-			return res.Time
-		case CTSeqTime:
-			res, err := core.CTSequential(g, origin, opt, r)
-			must(err)
-			return res.Time
-		}
-		panic("bench: unknown process")
-	})
+func SampleDispersion(g graph.Graph, origin int, process string, trials int,
+	seed, expID uint64, opts ...dispersion.Option) []float64 {
+	xs, err := engine(seed, expID).Sample(context.Background(), job(g, origin, process, trials, opts))
+	must(err)
+	return xs
 }
 
-// SampleTotalSteps returns the total number of jumps of all particles per
-// trial for the chosen process.
-func SampleTotalSteps(g *graph.CSR, origin int, p Process, opt core.Options,
-	trials int, seed, expID uint64) []float64 {
-	rn := walk.NewRunner(seed, expID)
-	return rn.Run(trials, func(_ int, r *rng.Source) float64 {
-		var res *core.Result
-		var err error
-		switch p {
-		case Seq:
-			res, err = core.Sequential(g, origin, opt, r)
-		case Par:
-			res, err = core.Parallel(g, origin, opt, r)
-		case Unif:
-			res, err = core.Uniform(g, origin, opt, r)
-		default:
-			panic("bench: total steps undefined for " + p.String())
-		}
-		must(err)
-		return float64(res.TotalSteps)
-	})
+// SampleTotalSteps is SampleDispersion returning the total number of jumps
+// of all particles per trial.
+func SampleTotalSteps(g graph.Graph, origin int, process string, trials int,
+	seed, expID uint64, opts ...dispersion.Option) []float64 {
+	xs, err := engine(seed, expID).TotalSteps(context.Background(), job(g, origin, process, trials, opts))
+	must(err)
+	return xs
 }
 
 // MeanDispersion is SampleDispersion reduced to a Summary.
-func MeanDispersion(g *graph.CSR, origin int, p Process, opt core.Options,
-	trials int, seed, expID uint64) stats.Summary {
-	return stats.Summarize(SampleDispersion(g, origin, p, opt, trials, seed, expID))
+func MeanDispersion(g graph.Graph, origin int, process string, trials int,
+	seed, expID uint64, opts ...dispersion.Option) stats.Summary {
+	return stats.Summarize(SampleDispersion(g, origin, process, trials, seed, expID, opts...))
+}
+
+// eachTrial runs trials like SampleDispersion and hands every Result to fn
+// in trial order. The Result is recycled once fn returns.
+func eachTrial(g graph.Graph, origin int, process string, trials int,
+	seed, expID uint64, fn func(*dispersion.Result), opts ...dispersion.Option) {
+	eng := engine(seed, expID)
+	eng.ReuseResults = true
+	must(eng.Run(context.Background(), job(g, origin, process, trials, opts),
+		func(t dispersion.Trial) error { fn(t.Result); return nil }))
+}
+
+// engine roots trial i of an experiment at the split stream (seed, expID, i).
+func engine(seed, expID uint64) dispersion.Engine {
+	return dispersion.Engine{Seed: seed, Experiment: expID}
+}
+
+// job is the Engine job of trials realizations of the registered process
+// on g from origin.
+func job(g graph.Graph, origin int, process string, trials int, opts []dispersion.Option) dispersion.Job {
+	return dispersion.Job{Process: process, Graph: g, Origin: origin, Trials: trials, Options: opts}
 }
 
 // SampleCoverTime estimates the cover time of the simple random walk from

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"dispersion/internal/core"
 	"dispersion/internal/graph"
 	"dispersion/internal/markov"
 	"dispersion/internal/rng"
@@ -62,8 +61,8 @@ func Table1(cfg Config) ([]Table1Row, error) {
 		thit, _, _ := h.Max()
 		mix := markov.MixingTime(f.g, f.mixCap)
 		cover := SampleCoverTime(f.g, f.origin, coverTrials, cfg.Seed, uint64(0x2000+fi*8))
-		seq := MeanDispersion(f.g, f.origin, Seq, core.Options{}, trials, cfg.Seed, uint64(0x2001+fi*8))
-		par := MeanDispersion(f.g, f.origin, Par, core.Options{}, trials, cfg.Seed, uint64(0x2002+fi*8))
+		seq := MeanDispersion(f.g, f.origin, "sequential", trials, cfg.Seed, uint64(0x2001+fi*8))
+		par := MeanDispersion(f.g, f.origin, "parallel", trials, cfg.Seed, uint64(0x2002+fi*8))
 		rows = append(rows, Table1Row{
 			Family: f.g.Name(), N: f.g.N(),
 			Cover: cover.Mean, Hit: thit, Mix: mix,

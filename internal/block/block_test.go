@@ -24,7 +24,7 @@ func testGraphs() []*graph.CSR {
 
 func recordSequential(t *testing.T, g *graph.CSR, seed uint64) *Block {
 	t.Helper()
-	res, err := core.Sequential(g, 0, core.Options{Record: true}, rng.New(seed))
+	res, err := core.Run(core.SequentialInto, g, 0, core.Options{Record: true}, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func recordSequential(t *testing.T, g *graph.CSR, seed uint64) *Block {
 
 func recordParallel(t *testing.T, g *graph.CSR, seed uint64) *Block {
 	t.Helper()
-	res, err := core.Parallel(g, 0, core.Options{Record: true}, rng.New(seed))
+	res, err := core.Run(core.ParallelInto, g, 0, core.Options{Record: true}, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestCPPreservesInvariants(t *testing.T) {
 }
 
 func TestFromResultRequiresRecording(t *testing.T) {
-	res, err := core.Sequential(graph.Path(5), 0, core.Options{}, rng.New(1))
+	res, err := core.Run(core.SequentialInto, graph.Path(5), 0, core.Options{}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestBijectionRoundTrip(t *testing.T) {
 func TestBijectionRoundTripQuick(t *testing.T) {
 	g := graph.Lollipop(12)
 	if err := quick.Check(func(seed uint64) bool {
-		res, err := core.Sequential(g, 0, core.Options{Record: true}, rng.New(seed))
+		res, err := core.Run(core.SequentialInto, g, 0, core.Options{Record: true}, rng.New(seed))
 		if err != nil {
 			return false
 		}
@@ -427,7 +427,7 @@ func TestPtURRejectsBadParticle(t *testing.T) {
 func TestLazyBlocksSupported(t *testing.T) {
 	// Section 4.4: the coupling machinery applies verbatim to lazy walks.
 	g := graph.Cycle(9)
-	res, err := core.Sequential(g, 0, core.Options{Record: true, Lazy: true}, rng.New(8))
+	res, err := core.Run(core.SequentialInto, g, 0, core.Options{Record: true, Lazy: true}, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}

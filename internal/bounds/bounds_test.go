@@ -85,7 +85,7 @@ func TestTheorem31HoldsOnFamilies(t *testing.T) {
 		thit, _, _ := h.Max()
 		bound := Theorem31(thit, g.N())
 		for trial := 0; trial < 20; trial++ {
-			res, err := core.Parallel(g, 0, core.Options{}, root.Split(1, uint64(trial)))
+			res, err := core.Run(core.ParallelInto, g, 0, core.Options{}, root.Split(1, uint64(trial)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +104,7 @@ func TestTreeLowerHolds(t *testing.T) {
 		const trials = 300
 		var sum float64
 		for i := 0; i < trials; i++ {
-			res, _ := core.Sequential(g, 0, core.Options{}, root.Split(2, uint64(i)))
+			res, _ := core.Run(core.SequentialInto, g, 0, core.Options{}, root.Split(2, uint64(i)))
 			sum += float64(res.Dispersion)
 		}
 		if mean := sum / trials; mean < TreeLower(g.N())*0.95 {
@@ -119,7 +119,7 @@ func TestEdgeDegreeLowerHolds(t *testing.T) {
 		const trials = 300
 		var sum float64
 		for i := 0; i < trials; i++ {
-			res, _ := core.Sequential(g, 0, core.Options{}, root.Split(3, uint64(i)))
+			res, _ := core.Run(core.SequentialInto, g, 0, core.Options{}, root.Split(3, uint64(i)))
 			sum += float64(res.Dispersion)
 		}
 		bound := EdgeDegreeLower(g.M(), g.MaxDegree())

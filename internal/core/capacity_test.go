@@ -10,12 +10,12 @@ import (
 
 // variantRuns maps each new variant process's one-shot form for
 // table-driven tests.
-func variantRuns() map[string]func(graph.Graph, int, Options, *rng.Source) (*Result, error) {
-	return map[string]func(graph.Graph, int, Options, *rng.Source) (*Result, error){
-		"sequential-geom":      SequentialGeom,
-		"sequential-threshold": SequentialThreshold,
-		"capacity":             CapacitySequential,
-		"capacity-parallel":    CapacityParallel,
+func variantRuns() map[string]runner {
+	return map[string]runner{
+		"sequential-geom":      oneShot(SequentialGeomInto),
+		"sequential-threshold": oneShot(SequentialThresholdInto),
+		"capacity":             oneShot(CapacitySequentialInto),
+		"capacity-parallel":    oneShot(CapacityParallelInto),
 	}
 }
 
@@ -77,8 +77,8 @@ func TestVariantIntoReuse(t *testing.T) {
 // vertex, partial loads never exceed c anywhere.
 func TestCapacityOccupancy(t *testing.T) {
 	g := graph.Cycle(12)
-	for name, run := range map[string]func(graph.Graph, int, Options, *rng.Source) (*Result, error){
-		"capacity": CapacitySequential, "capacity-parallel": CapacityParallel,
+	for name, run := range map[string]runner{
+		"capacity": oneShot(CapacitySequentialInto), "capacity-parallel": oneShot(CapacityParallelInto),
 	} {
 		for _, opt := range []Options{
 			{Capacity: 3},

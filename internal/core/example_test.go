@@ -8,11 +8,11 @@ import (
 	"dispersion/internal/rng"
 )
 
-// Run the Sequential-IDLA on a small cycle with a fixed seed. The first
-// particle settles at the origin instantly; the others walk.
-func ExampleSequential() {
+// Run the Sequential-IDLA once on a small cycle with a fixed seed. The
+// first particle settles at the origin instantly; the others walk.
+func ExampleRun() {
 	g := graph.Cycle(8)
-	res, err := core.Sequential(g, 0, core.Options{}, rng.New(42))
+	res, err := core.Run(core.SequentialInto, g, 0, core.Options{}, rng.New(42))
 	if err != nil {
 		panic(err)
 	}
@@ -27,9 +27,9 @@ func ExampleSequential() {
 
 // The Parallel-IDLA's dispersion time equals its number of rounds: the
 // last particle to settle has moved in every round.
-func ExampleParallel() {
+func ExampleRun_parallel() {
 	g := graph.Complete(16)
-	res, err := core.Parallel(g, 0, core.Options{}, rng.New(7))
+	res, err := core.Run(core.ParallelInto, g, 0, core.Options{}, rng.New(7))
 	if err != nil {
 		panic(err)
 	}
@@ -43,7 +43,7 @@ func ExampleParallel() {
 // vertices end up occupied.
 func ExampleOptions_particles() {
 	g := graph.Hypercube(4)
-	res, err := core.Sequential(g, 0, core.Options{Particles: 5}, rng.New(1))
+	res, err := core.Run(core.SequentialInto, g, 0, core.Options{Particles: 5}, rng.New(1))
 	if err != nil {
 		panic(err)
 	}

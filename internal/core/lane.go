@@ -29,15 +29,15 @@ type LaneVariant uint8
 const (
 	// LaneNone marks a process without a batched form.
 	LaneNone LaneVariant = iota
-	// LaneStandard is Sequential: settle on the first vacant standing.
+	// LaneStandard is SequentialInto: settle on the first vacant standing.
 	LaneStandard
-	// LaneGeom is SequentialGeom: accept a vacant standing with
+	// LaneGeom is SequentialGeomInto: accept a vacant standing with
 	// probability q per visit.
 	LaneGeom
-	// LaneThreshold is SequentialThreshold: settle only from step T on.
+	// LaneThreshold is SequentialThresholdInto: settle only from step T on.
 	LaneThreshold
-	// LaneCapacity is CapacitySequential: settle while the standing
-	// vertex is below its capacity. CapacityParallel's scalar round loop
+	// LaneCapacity is CapacitySequentialInto: settle while the standing
+	// vertex is below its capacity. CapacityParallelInto's scalar round loop
 	// uses the same law.
 	LaneCapacity
 )

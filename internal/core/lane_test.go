@@ -217,8 +217,8 @@ func TestScalarCapacityVector(t *testing.T) {
 	g := graph.Star(4)
 	caps := []int{2, 1, 3, 1}
 	for name, run := range map[string]func(Options, *rng.Source) (*Result, error){
-		"sequential": func(o Options, r *rng.Source) (*Result, error) { return CapacitySequential(g, 0, o, r) },
-		"parallel":   func(o Options, r *rng.Source) (*Result, error) { return CapacityParallel(g, 0, o, r) },
+		"sequential": func(o Options, r *rng.Source) (*Result, error) { return Run(CapacitySequentialInto, g, 0, o, r) },
+		"parallel":   func(o Options, r *rng.Source) (*Result, error) { return Run(CapacityParallelInto, g, 0, o, r) },
 	} {
 		res, err := run(Options{Capacities: caps}, rng.New(3))
 		if err != nil {
@@ -256,7 +256,7 @@ func TestCapacityVectorErrors(t *testing.T) {
 		"huge entry":       {Capacities: []int{1, maxCapacity + 1, 1, 1}},
 		"too many":         {Capacities: []int{1, 1, 1, 1}, Particles: 5},
 	} {
-		if _, err := CapacitySequential(g, 0, opt, rng.New(1)); err == nil {
+		if _, err := Run(CapacitySequentialInto, g, 0, opt, rng.New(1)); err == nil {
 			t.Fatalf("%s: scalar run succeeded", name)
 		}
 		opt.Batch = 2

@@ -9,7 +9,7 @@ import (
 
 func TestOdometerAccounting(t *testing.T) {
 	g := graph.Cycle(12)
-	res, err := Sequential(g, 0, Options{Record: true}, rng.New(1))
+	res, err := Run(SequentialInto, g, 0, Options{Record: true}, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestOdometerAccounting(t *testing.T) {
 
 func TestOdometerRequiresRecording(t *testing.T) {
 	g := graph.Path(5)
-	res, err := Sequential(g, 0, Options{}, rng.New(2))
+	res, err := Run(SequentialInto, g, 0, Options{}, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestOdometerOriginIsBusiest(t *testing.T) {
 	// dominates the visit counts on a star (all walks alternate through
 	// the centre... origin = centre).
 	g := graph.Star(16)
-	res, err := Sequential(g, 0, Options{Record: true}, rng.New(3))
+	res, err := Run(SequentialInto, g, 0, Options{Record: true}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestExcursionCountPath(t *testing.T) {
 	// On the path with the left half marked, crossings happen exactly at
 	// the marked/unmarked boundary; count must match a manual recount.
 	g := graph.Path(10)
-	res, err := Sequential(g, 0, Options{Record: true}, rng.New(4))
+	res, err := Run(SequentialInto, g, 0, Options{Record: true}, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestExcursionCountPath(t *testing.T) {
 
 func TestExcursionCountRequiresRecording(t *testing.T) {
 	g := graph.Path(5)
-	res, _ := Sequential(g, 0, Options{}, rng.New(5))
+	res, _ := Run(SequentialInto, g, 0, Options{}, rng.New(5))
 	if _, err := ExcursionCount(res, make([]bool, 5)); err == nil {
 		t.Fatal("unrecorded run accepted")
 	}

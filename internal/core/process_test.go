@@ -10,13 +10,21 @@ import (
 
 type runner func(g graph.Graph, origin int, opt Options, r *rng.Source) (*Result, error)
 
+// oneShot binds a discrete *Into function to Run, the one-shot form the
+// table-driven tests call.
+func oneShot(into func(graph.Graph, int, Options, *rng.Source, *Scratch, *Result) error) runner {
+	return func(g graph.Graph, origin int, opt Options, r *rng.Source) (*Result, error) {
+		return Run(into, g, origin, opt, r)
+	}
+}
+
 func allProcesses() map[string]runner {
 	return map[string]runner{
-		"sequential": Sequential,
-		"parallel":   Parallel,
-		"uniform":    Uniform,
+		"sequential": oneShot(SequentialInto),
+		"parallel":   oneShot(ParallelInto),
+		"uniform":    oneShot(UniformInto),
 		"ctuniform": func(g graph.Graph, origin int, opt Options, r *rng.Source) (*Result, error) {
-			res, err := CTUniform(g, origin, opt, r)
+			res, err := Run(CTUniformInto, g, origin, opt, r)
 			if err != nil {
 				return nil, err
 			}
@@ -76,10 +84,10 @@ func TestProcessesDeterministic(t *testing.T) {
 
 func TestOriginValidation(t *testing.T) {
 	g := graph.Path(5)
-	if _, err := Sequential(g, 7, Options{}, rng.New(1)); err == nil {
+	if _, err := Run(SequentialInto, g, 7, Options{}, rng.New(1)); err == nil {
 		t.Fatal("out-of-range origin accepted")
 	}
-	if _, err := Parallel(g, -1, Options{}, rng.New(1)); err == nil {
+	if _, err := Run(ParallelInto, g, -1, Options{}, rng.New(1)); err == nil {
 		t.Fatal("negative origin accepted")
 	}
 }
@@ -92,14 +100,14 @@ func TestDisconnectedRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Sequential(g, 0, Options{}, rng.New(1)); err == nil {
+	if _, err := Run(SequentialInto, g, 0, Options{}, rng.New(1)); err == nil {
 		t.Fatal("disconnected graph accepted")
 	}
 }
 
 func TestParallelDispersionEqualsRounds(t *testing.T) {
 	g := graph.Cycle(20)
-	res, err := Parallel(g, 0, Options{}, rng.New(9))
+	res, err := Run(ParallelInto, g, 0, Options{}, rng.New(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +121,7 @@ func TestParallelDispersionEqualsRounds(t *testing.T) {
 
 func TestSequentialSettleClockIsTotalSteps(t *testing.T) {
 	g := graph.Complete(12)
-	res, err := Sequential(g, 0, Options{}, rng.New(3))
+	res, err := Run(SequentialInto, g, 0, Options{}, rng.New(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +138,11 @@ func TestMeanDominanceSeqParClique(t *testing.T) {
 	var seqSum, parSum float64
 	root := rng.New(2024)
 	for i := 0; i < trials; i++ {
-		s, err := Sequential(g, 0, Options{}, root.Split(1, uint64(i)))
+		s, err := Run(SequentialInto, g, 0, Options{}, root.Split(1, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := Parallel(g, 0, Options{}, root.Split(2, uint64(i)))
+		p, err := Run(ParallelInto, g, 0, Options{}, root.Split(2, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,8 +163,8 @@ func TestTotalStepsSameMeanSeqPar(t *testing.T) {
 	var seqSum, parSum, seqSq float64
 	root := rng.New(77)
 	for i := 0; i < trials; i++ {
-		s, _ := Sequential(g, 0, Options{}, root.Split(1, uint64(i)))
-		p, _ := Parallel(g, 0, Options{}, root.Split(2, uint64(i)))
+		s, _ := Run(SequentialInto, g, 0, Options{}, root.Split(1, uint64(i)))
+		p, _ := Run(ParallelInto, g, 0, Options{}, root.Split(2, uint64(i)))
 		seqSum += float64(s.TotalSteps)
 		seqSq += float64(s.TotalSteps) * float64(s.TotalSteps)
 		parSum += float64(p.TotalSteps)
@@ -178,7 +186,7 @@ func TestCliqueSequentialCouponCollector(t *testing.T) {
 	var sum float64
 	root := rng.New(5)
 	for i := 0; i < trials; i++ {
-		res, _ := Sequential(g, 0, Options{}, root.Split(0, uint64(i)))
+		res, _ := Run(SequentialInto, g, 0, Options{}, root.Split(0, uint64(i)))
 		sum += float64(res.Dispersion)
 	}
 	ratio := sum / trials / 64
@@ -193,7 +201,7 @@ func TestCliqueParallelPiSquaredOverSix(t *testing.T) {
 	var sum float64
 	root := rng.New(6)
 	for i := 0; i < trials; i++ {
-		res, _ := Parallel(g, 0, Options{}, root.Split(0, uint64(i)))
+		res, _ := Run(ParallelInto, g, 0, Options{}, root.Split(0, uint64(i)))
 		sum += float64(res.Dispersion)
 	}
 	ratio := sum / trials / 64
@@ -210,8 +218,8 @@ func TestLazyRoughlyDoubles(t *testing.T) {
 	var plain, lazy float64
 	root := rng.New(8)
 	for i := 0; i < trials; i++ {
-		a, _ := Sequential(g, 0, Options{}, root.Split(1, uint64(i)))
-		b, _ := Sequential(g, 0, Options{Lazy: true}, root.Split(2, uint64(i)))
+		a, _ := Run(SequentialInto, g, 0, Options{}, root.Split(1, uint64(i)))
+		b, _ := Run(SequentialInto, g, 0, Options{Lazy: true}, root.Split(2, uint64(i)))
 		plain += float64(a.Dispersion)
 		lazy += float64(b.Dispersion)
 	}
@@ -228,11 +236,11 @@ func TestCTUniformMatchesParallelOnClique(t *testing.T) {
 	var ctu, par float64
 	root := rng.New(9)
 	for i := 0; i < trials; i++ {
-		a, err := CTUniform(g, 0, Options{}, root.Split(1, uint64(i)))
+		a, err := Run(CTUniformInto, g, 0, Options{}, root.Split(1, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, _ := Parallel(g, 0, Options{}, root.Split(2, uint64(i)))
+		b, _ := Run(ParallelInto, g, 0, Options{}, root.Split(2, uint64(i)))
 		ctu += a.Time
 		par += float64(b.Dispersion)
 	}
@@ -244,7 +252,7 @@ func TestCTUniformMatchesParallelOnClique(t *testing.T) {
 
 func TestCTSequentialTimeTracksSteps(t *testing.T) {
 	g := graph.Complete(32)
-	res, err := CTSequential(g, 0, Options{}, rng.New(10))
+	res, err := Run(CTSequentialInto, g, 0, Options{}, rng.New(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +269,7 @@ func TestCTSequentialTimeTracksSteps(t *testing.T) {
 
 func TestRandomPriorityStillValid(t *testing.T) {
 	g := graph.Grid([]int{5, 5}, false)
-	res, err := Parallel(g, 12, Options{RandomPriority: true, Record: true}, rng.New(11))
+	res, err := Run(ParallelInto, g, 12, Options{RandomPriority: true, Record: true}, rng.New(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +283,7 @@ func TestSettleRuleDelaysSettlement(t *testing.T) {
 	// later particle to take at least 6 steps.
 	g := graph.Complete(16)
 	rule := func(v int32, step int64) bool { return step > 5 }
-	res, err := Sequential(g, 0, Options{Rule: rule}, rng.New(12))
+	res, err := Run(SequentialInto, g, 0, Options{Rule: rule}, rng.New(12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +299,7 @@ func TestSettleRuleDelaysSettlement(t *testing.T) {
 
 func TestMaxStepsTruncates(t *testing.T) {
 	g := graph.Cycle(64)
-	res, err := Sequential(g, 0, Options{MaxSteps: 100}, rng.New(13))
+	res, err := Run(SequentialInto, g, 0, Options{MaxSteps: 100}, rng.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +316,7 @@ func TestMaxStepsTruncates(t *testing.T) {
 
 func TestPhaseClockSemantics(t *testing.T) {
 	g := graph.Complete(10)
-	res, err := Parallel(g, 0, Options{}, rng.New(14))
+	res, err := Run(ParallelInto, g, 0, Options{}, rng.New(14))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +339,7 @@ func TestPhaseClockSemantics(t *testing.T) {
 
 func TestUnsettledAtClock(t *testing.T) {
 	g := graph.Complete(8)
-	res, err := Parallel(g, 0, Options{}, rng.New(15))
+	res, err := Run(ParallelInto, g, 0, Options{}, rng.New(15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +356,7 @@ func TestUnsettledAtClock(t *testing.T) {
 func TestAggregateAtGrowsFromOrigin(t *testing.T) {
 	g := graph.Grid([]int{6, 6}, false)
 	origin := graph.GridIndex([]int{6, 6}, []int{3, 3})
-	res, err := Sequential(g, origin, Options{}, rng.New(16))
+	res, err := Run(SequentialInto, g, origin, Options{}, rng.New(16))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,8 +392,8 @@ func TestUniformDispersionBetweenSeqAndPar(t *testing.T) {
 	var unif, par float64
 	root := rng.New(17)
 	for i := 0; i < trials; i++ {
-		u, _ := Uniform(g, 0, Options{}, root.Split(1, uint64(i)))
-		p, _ := Parallel(g, 0, Options{}, root.Split(2, uint64(i)))
+		u, _ := Run(UniformInto, g, 0, Options{}, root.Split(1, uint64(i)))
+		p, _ := Run(ParallelInto, g, 0, Options{}, root.Split(2, uint64(i)))
 		unif += float64(u.Dispersion)
 		par += float64(p.Dispersion)
 	}
@@ -419,7 +427,7 @@ func TestTreeSequentialLowerBound(t *testing.T) {
 		var sum float64
 		root := rng.New(19)
 		for i := 0; i < trials; i++ {
-			res, _ := Sequential(g, 0, Options{}, root.Split(3, uint64(i)))
+			res, _ := Run(SequentialInto, g, 0, Options{}, root.Split(3, uint64(i)))
 			sum += float64(res.Dispersion)
 		}
 		mean := sum / trials

@@ -5,8 +5,8 @@
 // A law decides only what a particle standing on a vacant vertex does, so
 // every Sequential-family process runs through the one particle loop
 // sequentialInto, and both capacity processes through the shared loops
-// with the capacity law. The registered variants keep their one-shot
-// functions and *Into forms as thin law resolvers.
+// with the capacity law. The registered variants' *Into forms are thin law
+// resolvers.
 
 package core
 
@@ -18,7 +18,7 @@ import (
 	"dispersion/internal/rng"
 )
 
-// geomParam resolves Options.SettleParam as SequentialGeom's per-visit
+// geomParam resolves Options.SettleParam as SequentialGeomInto's per-visit
 // settle probability q. Zero means the default 1/2; q = 1 recovers the
 // standard rule.
 func (o *Options) geomParam() (float64, error) {
@@ -34,7 +34,7 @@ func (o *Options) geomParam() (float64, error) {
 	return q, nil
 }
 
-// thresholdParam resolves Options.SettleParam as SequentialThreshold's
+// thresholdParam resolves Options.SettleParam as SequentialThresholdInto's
 // minimum step count T, truncating the fractional part. Zero means the
 // default n, the graph size. A SettleParam in (0,1) truncates to T = 0,
 // which is the standard rule.
@@ -133,86 +133,40 @@ func (l *settleLaw) occupy(s *Scratch, v int32) {
 	}
 }
 
-// SequentialGeom runs the Sequential process under the geometric settle
-// rule of Proposition A.1: a particle standing on a vacant vertex settles
-// there with probability q per visit (Options.SettleParam, default 1/2)
-// and otherwise keeps walking. q = 1 recovers the standard process.
-func SequentialGeom(g graph.Graph, origin int, opt Options, r *rng.Source) (*Result, error) {
-	res := new(Result)
-	if err := SequentialGeomInto(g, origin, opt, r, nil, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// SequentialGeomInto is SequentialGeom writing into a caller-owned Result
-// through the given Scratch (nil allocates a transient one). res is fully
-// overwritten; the RNG stream consumed is identical to SequentialGeom's.
+// SequentialGeomInto runs the Sequential process under the geometric
+// settle rule of Proposition A.1: a particle standing on a vacant vertex
+// settles there with probability q per visit (Options.SettleParam, default
+// 1/2) and otherwise keeps walking. q = 1 recovers the standard process.
 func SequentialGeomInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *Result) error {
 	return sequentialInto(g, origin, &opt, LaneGeom, r, s, res)
 }
 
-// SequentialThreshold runs the Sequential process under the step-threshold
-// settle rule of Proposition A.1: a particle may settle only from its T-th
-// step on (Options.SettleParam, default n), at the first vacant vertex it
-// then stands on. Longer forced walks can decrease the dispersion time on
-// gadgets like the clique-with-hair — the paper's no-least-action example.
-func SequentialThreshold(g graph.Graph, origin int, opt Options, r *rng.Source) (*Result, error) {
-	res := new(Result)
-	if err := SequentialThresholdInto(g, origin, opt, r, nil, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// SequentialThresholdInto is SequentialThreshold writing into a
-// caller-owned Result through the given Scratch (nil allocates a transient
-// one). res is fully overwritten; the RNG stream consumed is identical to
-// SequentialThreshold's.
+// SequentialThresholdInto runs the Sequential process under the
+// step-threshold settle rule of Proposition A.1: a particle may settle only
+// from its T-th step on (Options.SettleParam, default n), at the first
+// vacant vertex it then stands on. Longer forced walks can decrease the
+// dispersion time on gadgets like the clique-with-hair — the paper's
+// no-least-action example.
 func SequentialThresholdInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *Result) error {
 	return sequentialInto(g, origin, &opt, LaneThreshold, r, s, res)
 }
 
-// CapacitySequential runs the capacity-c Sequential process: the
+// CapacitySequentialInto runs the capacity-c Sequential process: the
 // k-particles-per-vertex load-balancing generalization where every vertex
 // hosts up to c settled particles (Options.Capacity, default
 // DefaultCapacity) and a particle settles on the first standing vertex
 // holding fewer than c. By default c·n particles disperse, filling every
 // vertex to capacity; Options.Particles lowers the count.
-func CapacitySequential(g graph.Graph, origin int, opt Options, r *rng.Source) (*Result, error) {
-	res := new(Result)
-	if err := CapacitySequentialInto(g, origin, opt, r, nil, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// CapacitySequentialInto is CapacitySequential writing into a caller-owned
-// Result through the given Scratch (nil allocates a transient one). res is
-// fully overwritten; the RNG stream consumed is identical to
-// CapacitySequential's.
 func CapacitySequentialInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *Result) error {
 	return sequentialInto(g, origin, &opt, LaneCapacity, r, s, res)
 }
 
-// CapacityParallel runs the capacity-c Parallel process: all particles
-// start together, every round all unsettled particles move simultaneously,
-// and settlement resolution in priority order lets each vertex accept
-// arrivals until it holds c settled particles (Options.Capacity, default
-// DefaultCapacity). Priority is least index, or a uniform permutation
-// under Options.RandomPriority.
-func CapacityParallel(g graph.Graph, origin int, opt Options, r *rng.Source) (*Result, error) {
-	res := new(Result)
-	if err := CapacityParallelInto(g, origin, opt, r, nil, res); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// CapacityParallelInto is CapacityParallel writing into a caller-owned
-// Result through the given Scratch (nil allocates a transient one). res is
-// fully overwritten; the RNG stream consumed is identical to
-// CapacityParallel's.
+// CapacityParallelInto runs the capacity-c Parallel process: all
+// particles start together, every round all unsettled particles move
+// simultaneously, and settlement resolution in priority order lets each
+// vertex accept arrivals until it holds c settled particles
+// (Options.Capacity, default DefaultCapacity). Priority is least index, or
+// a uniform permutation under Options.RandomPriority.
 func CapacityParallelInto(g graph.Graph, origin int, opt Options, r *rng.Source, s *Scratch, res *Result) error {
 	return parallelInto(g, origin, &opt, LaneCapacity, r, s, res)
 }

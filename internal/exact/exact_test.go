@@ -105,7 +105,7 @@ func TestExpectedTotalStepsMatchesSimulation(t *testing.T) {
 		root := rng.New(11)
 		var sum float64
 		for i := 0; i < trials; i++ {
-			res, err := core.Sequential(g, 0, core.Options{}, root.Split(1, uint64(i)))
+			res, err := core.Run(core.SequentialInto, g, 0, core.Options{}, root.Split(1, uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -128,7 +128,7 @@ func TestTotalStepsParallelMatchesExact(t *testing.T) {
 	root := rng.New(13)
 	var sum float64
 	for i := 0; i < trials; i++ {
-		res, err := core.Parallel(g, 0, core.Options{}, root.Split(2, uint64(i)))
+		res, err := core.Run(core.ParallelInto, g, 0, core.Options{}, root.Split(2, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestExpectedDispersionMatchesSimulation(t *testing.T) {
 		root := rng.New(17)
 		var sum float64
 		for i := 0; i < trials; i++ {
-			res, err := core.Sequential(tc.g, 0, core.Options{}, root.Split(3, uint64(i)))
+			res, err := core.Run(core.SequentialInto, tc.g, 0, core.Options{}, root.Split(3, uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -204,7 +204,7 @@ func TestDispersionCDFMatchesEmpirical(t *testing.T) {
 	root := rng.New(19)
 	xs := make([]float64, trials)
 	for i := range xs {
-		res, err := core.Sequential(g, 0, core.Options{}, root.Split(4, uint64(i)))
+		res, err := core.Run(core.SequentialInto, g, 0, core.Options{}, root.Split(4, uint64(i)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,7 +57,7 @@ func TestParallelMatchesSimulation(t *testing.T) {
 		root := rng.New(23)
 		var sum float64
 		for i := 0; i < trials; i++ {
-			res, err := core.Parallel(g, 0, core.Options{}, root.Split(5, uint64(i)))
+			res, err := core.Run(core.ParallelInto, g, 0, core.Options{}, root.Split(5, uint64(i)))
 			if err != nil {
 				t.Fatal(err)
 			}

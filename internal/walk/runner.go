@@ -57,36 +57,27 @@ type streamed[T any] struct {
 	err   error
 }
 
-// Stream runs fn for trials independent trials across the runner's worker
-// pool and delivers every result to each in strict trial order. The trial
-// randomness is the same split stream Run uses, so the sequence of values
-// delivered is identical for any worker count.
+// StreamFrom runs fn for the trial range [first, first+trials) across the
+// runner's worker pool and delivers every result to each in strict trial
+// order. Trial i draws the split stream Split(experimentID, i), the same
+// stream Run uses, so the sequence of values delivered is identical for
+// any worker count, and the results of an offset range are bit-identical
+// to the corresponding slice of one contiguous [0, n) stream — this is
+// what lets trial ranges shard across jobs and machines. first must be
+// non-negative.
 //
-// Unlike Run, Stream does not materialize all results: workers may run at
-// most a small window ahead of the delivery cursor, so memory stays
-// bounded no matter how many trials are requested. fn must be safe to
-// call concurrently with distinct sources, and r is valid only for the
+// Unlike Run, StreamFrom does not materialize all results: workers may
+// run at most a small window ahead of the delivery cursor, so memory
+// stays bounded no matter how many trials are requested. fn must be safe
+// to call concurrently with distinct sources, and r is valid only for the
 // duration of the call — each worker reseeds one local generator per
 // trial, so a retained pointer would be overwritten by the worker's next
 // trial. each is always called from a single goroutine.
 //
 // The first error — from ctx, fn, or each — stops the stream and is
 // returned; trials past the failure point may never run. Once every
-// trial has been delivered successfully, Stream returns nil even if ctx
-// is cancelled afterwards.
-func Stream[T any](ctx context.Context, rn *Runner, trials int,
-	fn func(trial int, r *rng.Source) (T, error),
-	each func(trial int, v T) error) error {
-	return StreamFrom(ctx, rn, 0, trials, fn, each)
-}
-
-// StreamFrom is Stream with an offset claim cursor: it runs the trial
-// range [first, first+trials) instead of [0, trials). Trial i still
-// draws the split stream Split(experimentID, i), so the results of an
-// offset range are bit-identical to the corresponding slice of one
-// contiguous [0, n) stream — this is what lets trial ranges shard
-// across jobs and machines. first must be non-negative. As with Stream,
-// fn must not retain r past the call.
+// trial has been delivered successfully, StreamFrom returns nil even if
+// ctx is cancelled afterwards.
 func StreamFrom[T any](ctx context.Context, rn *Runner, first, trials int,
 	fn func(trial int, r *rng.Source) (T, error),
 	each func(trial int, v T) error) error {
@@ -225,23 +216,9 @@ func StreamState[T, S any](ctx context.Context, rn *Runner, first, trials int,
 func (rn *Runner) Run(trials int, fn func(trial int, r *rng.Source) float64) []float64 {
 	out := make([]float64, trials)
 	// fn and each cannot fail and the context is never cancelled, so
-	// Stream cannot return an error here.
-	_ = Stream(context.Background(), rn, trials,
+	// StreamFrom cannot return an error here.
+	_ = StreamFrom(context.Background(), rn, 0, trials,
 		func(i int, r *rng.Source) (float64, error) { return fn(i, r), nil },
 		func(i int, v float64) error { out[i] = v; return nil })
 	return out
-}
-
-// RunPairs is Run for trial functions producing two paired values (e.g.
-// the sequential and parallel dispersion time under a shared coupling).
-func (rn *Runner) RunPairs(trials int, fn func(trial int, r *rng.Source) (float64, float64)) ([]float64, []float64) {
-	a := make([]float64, trials)
-	b := make([]float64, trials)
-	_ = Stream(context.Background(), rn, trials,
-		func(i int, r *rng.Source) ([2]float64, error) {
-			x, y := fn(i, r)
-			return [2]float64{x, y}, nil
-		},
-		func(i int, v [2]float64) error { a[i], b[i] = v[0], v[1]; return nil })
-	return a, b
 }

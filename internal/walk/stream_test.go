@@ -11,7 +11,7 @@ import (
 	"dispersion/internal/rng"
 )
 
-// TestStreamOrderAndDeterminism checks that Stream delivers results in
+// TestStreamOrderAndDeterminism checks that StreamFrom delivers results in
 // strict trial order with per-trial split streams, independent of the
 // worker count.
 func TestStreamOrderAndDeterminism(t *testing.T) {
@@ -20,7 +20,7 @@ func TestStreamOrderAndDeterminism(t *testing.T) {
 		rn := NewRunner(42, 7)
 		rn.SetWorkers(workers)
 		out := make([]float64, 0, trials)
-		err := Stream(context.Background(), rn, trials,
+		err := StreamFrom(context.Background(), rn, 0, trials,
 			func(i int, r *rng.Source) (float64, error) {
 				return float64(i)*1e9 + float64(r.Intn(1000)), nil
 			},
@@ -44,20 +44,20 @@ func TestStreamOrderAndDeterminism(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesRun pins Stream's trial streams to Run's.
+// TestStreamMatchesRun pins StreamFrom's trial streams to Run's.
 func TestStreamMatchesRun(t *testing.T) {
 	const trials = 64
 	fn := func(i int, r *rng.Source) float64 { return r.Float64() }
 	want := NewRunner(3, 9).Run(trials, fn)
 	got := make([]float64, trials)
-	err := Stream(context.Background(), NewRunner(3, 9), trials,
+	err := StreamFrom(context.Background(), NewRunner(3, 9), 0, trials,
 		func(i int, r *rng.Source) (float64, error) { return fn(i, r), nil },
 		func(i int, v float64) error { got[i] = v; return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("Stream and Run disagree on the same (seed, experiment)")
+		t.Fatal("StreamFrom and Run disagree on the same (seed, experiment)")
 	}
 }
 
@@ -66,7 +66,7 @@ func TestStreamFnError(t *testing.T) {
 	rn := NewRunner(1, 1)
 	rn.SetWorkers(4)
 	delivered := 0
-	err := Stream(context.Background(), rn, 1000,
+	err := StreamFrom(context.Background(), rn, 0, 1000,
 		func(i int, r *rng.Source) (int, error) {
 			if i == 10 {
 				return 0, sentinel
@@ -89,7 +89,7 @@ func TestStreamEachError(t *testing.T) {
 	rn := NewRunner(1, 1)
 	rn.SetWorkers(4)
 	delivered := 0
-	err := Stream(context.Background(), rn, 1000,
+	err := StreamFrom(context.Background(), rn, 0, 1000,
 		func(i int, r *rng.Source) (int, error) { return i, nil },
 		func(i int, v int) error {
 			delivered++
@@ -111,7 +111,7 @@ func TestStreamCancellation(t *testing.T) {
 	rn := NewRunner(1, 1)
 	rn.SetWorkers(2)
 	delivered := 0
-	err := Stream(ctx, rn, 1<<30,
+	err := StreamFrom(ctx, rn, 0, 1<<30,
 		func(i int, r *rng.Source) (int, error) { return i, nil },
 		func(i int, v int) error {
 			delivered++
@@ -137,7 +137,7 @@ func TestStreamFromMatchesSlice(t *testing.T) {
 		return float64(i)*1e9 + float64(r.Intn(1000)), nil
 	}
 	whole := make([]float64, 0, total)
-	if err := Stream(context.Background(), NewRunner(8, 3), total, fn,
+	if err := StreamFrom(context.Background(), NewRunner(8, 3), 0, total, fn,
 		func(i int, v float64) error { whole = append(whole, v); return nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestStreamFromMatchesSlice(t *testing.T) {
 }
 
 // TestStreamNoSpuriousCancelError is the regression test for the tail of
-// Stream: a parent cancellation that lands after the last trial has been
+// StreamFrom: a parent cancellation that lands after the last trial has been
 // delivered must not turn a fully successful stream into an error.
 func TestStreamNoSpuriousCancelError(t *testing.T) {
 	const trials = 50
@@ -175,7 +175,7 @@ func TestStreamNoSpuriousCancelError(t *testing.T) {
 	rn := NewRunner(1, 1)
 	rn.SetWorkers(4)
 	delivered := 0
-	err := Stream(ctx, rn, trials,
+	err := StreamFrom(ctx, rn, 0, trials,
 		func(i int, r *rng.Source) (int, error) { return i, nil },
 		func(i int, v int) error {
 			delivered++
@@ -195,7 +195,7 @@ func TestStreamNoSpuriousCancelError(t *testing.T) {
 }
 
 func TestStreamZeroTrials(t *testing.T) {
-	if err := Stream(context.Background(), NewRunner(1, 1), 0,
+	if err := StreamFrom(context.Background(), NewRunner(1, 1), 0, 0,
 		func(i int, r *rng.Source) (int, error) { return 0, nil },
 		func(i int, v int) error { return fmt.Errorf("must not be called") }); err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestStreamBoundedWindow(t *testing.T) {
 	rn := NewRunner(1, 1)
 	rn.SetWorkers(4)
 	var maxAhead, deliverCursor atomic.Int64
-	err := Stream(context.Background(), rn, 10000,
+	err := StreamFrom(context.Background(), rn, 0, 10000,
 		func(i int, r *rng.Source) (int, error) {
 			ahead := int64(i) - deliverCursor.Load()
 			for {

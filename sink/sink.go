@@ -65,9 +65,11 @@ func (s *JSONL) Write(t dispersion.Trial) error {
 // ReadJSONL reads back a JSONL stream written by a JSONL sink (or by the
 // dispersion server's results endpoint), returning the trials in file
 // order. Lines have no size limit: records carrying full trajectories
-// (WithRecord) can grow arbitrarily large. Records written before the
-// Capacity field existed read back with Capacity 1, the per-vertex
-// capacity every pre-capacity process ran under (matching ReadCSV).
+// (WithRecord) can grow arbitrarily large. A record without a result or
+// with a negative trial index is an error naming the record. Records
+// written before the Capacity field existed read back with Capacity 1,
+// the per-vertex capacity every pre-capacity process ran under (matching
+// ReadCSV).
 func ReadJSONL(r io.Reader) ([]dispersion.Trial, error) {
 	var out []dispersion.Trial
 	br := bufio.NewReaderSize(r, 64*1024)
@@ -81,7 +83,15 @@ func ReadJSONL(r io.Reader) ([]dispersion.Trial, error) {
 			if err := json.Unmarshal(trimmed, &rec); err != nil {
 				return nil, fmt.Errorf("sink: bad JSONL record %d: %w", len(out), err)
 			}
-			if rec.Result != nil && rec.Result.Capacity == 0 {
+			// Every consumer dereferences Result and indexes by trial, so
+			// a record lacking either ("null", "{}") is malformed.
+			if rec.Result == nil {
+				return nil, fmt.Errorf("sink: JSONL record %d has no result", len(out))
+			}
+			if rec.Trial < 0 {
+				return nil, fmt.Errorf("sink: JSONL record %d has negative trial index %d", len(out), rec.Trial)
+			}
+			if rec.Result.Capacity == 0 {
 				rec.Result.Capacity = 1
 			}
 			out = append(out, dispersion.Trial{Index: rec.Trial, Result: rec.Result})

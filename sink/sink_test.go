@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"dispersion"
@@ -156,5 +157,23 @@ func TestTee(t *testing.T) {
 	}
 	if len(got) != 3 {
 		t.Errorf("got %d trials, want 3", len(got))
+	}
+}
+
+// A record without a result ("null", "{}", a bare trial index) or with a
+// negative trial index is rejected with an error naming the record, never
+// handed to consumers that dereference Result.
+func TestReadJSONLRejectsIncompleteRecords(t *testing.T) {
+	good := `{"trial":0,"result":{"Process":"parallel","Dispersion":7,"TotalSteps":21,"Capacity":1}}` + "\n"
+	for _, bad := range []string{
+		"null",
+		"{}",
+		`{"trial":3}`,
+		`{"trial":-1,"result":{"Process":"parallel","Dispersion":7}}`,
+	} {
+		trials, err := sink.ReadJSONL(strings.NewReader(good + bad + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "record 1") {
+			t.Errorf("%s: got %d trials, err %v; want an error naming record 1", bad, len(trials), err)
+		}
 	}
 }
